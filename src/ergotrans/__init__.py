@@ -21,15 +21,11 @@ from .symbolic import (
 from .transfer import (
     MarkovMeasure,
     NormalizedCost,
-    PerronSolution,
-    TransferMatrix,
-    assemble_transfer,
     gibbs_measure,
     markov_entropy_rate,
     normalize_cost,
     nu_cylinder,
     nu_cylinder_table,
-    perron_solve,
     pressure,
 )
 from .plans import (

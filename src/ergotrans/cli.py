@@ -27,7 +27,6 @@ from .symbolic import load_problem
 from .transfer import (
     MarkovMeasure,
     effective_cost,
-    gibbs_measure,
     log_perron,
     normalize_cost,
 )
@@ -81,8 +80,8 @@ def _run_pressure(spec, args):
 def _run_gibbs(spec, args):
     cost = effective_cost(spec.cost)
     normalized = normalize_cost(cost, tol=args.tol_eigen)
-    measure = gibbs_measure(normalized)
     plan = gibbs_plan(normalized)
+    measure = plan.nu
     depth = args.depth if args.depth else cost.depth
     return {
         "pressure": normalized.log_lambda,

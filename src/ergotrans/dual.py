@@ -367,7 +367,9 @@ def _solve_monotone_1d(cost, mu, v_init, grad_tol, max_iter):
         mid = 0.5 * (lo + hi)
         if g_hi > g_lo:
             secant = hi - g_hi * span / (g_hi - g_lo)
-            if lo + 0.01 * span <= secant <= hi - 0.01 * span:
+            # on a bracket under about 100 ulps wide the 1 % guard rounds
+            # onto an endpoint, and a secant point there makes no progress
+            if lo + 0.01 * span <= secant <= hi - 0.01 * span and lo < secant < hi:
                 mid = secant
         g_mid = g_of(mid)
         if abs(g_mid) < abs(best_g):

@@ -9,36 +9,39 @@ The operator acting on functions of blocks is
 
     (L u)(b) = sum_x sum_a exp(c(x, a.b)) * u(succ(b, a)).
 
-Stored matrices follow the measure-evolution orientation ``M[b', b]``
-(rows index successor states, columns current states), so the operator
-above is ``u -> M.T @ u`` and its eigen-measure direction is ``M @ v``.
+Everything works in the action layout ``ct[x, b, a] = c(x, a.b)`` with the
+``succ`` table; the operator is only ever applied in log domain,
+
+    T(u)(b) = LSE_{x,a} [ c(x, a.b) + u(succ(b, a)) ],
+
+and its dominant eigendata solve ``T(u) = u + log lambda``.  Linear algebra
+runs on the block chain ``P[b, succ(b, a)]`` that ``T`` induces at ``u``:
+a dense solve for small chains, a sparse LU built from ``succ`` above
+``DENSE_SOLVE_MAX`` blocks.  Markov measures keep the
+measure-evolution orientation ``q[b', b]`` (rows successor states, columns
+current states), so ``q = P.T`` for the normalized chain.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._tropical import howard_policy_iteration
 from .errors import ConvergenceError, SpecValidationError
 from .symbolic import CostTensor, lift_depth
 
 __all__ = [
-    "TransferMatrix",
-    "PerronSolution",
     "NormalizedCost",
     "MarkovMeasure",
     "effective_cost",
     "block_count",
     "action_view",
     "successor_table",
-    "assemble_transfer",
-    "perron_solve",
     "normalize_cost",
     "pressure",
     "gibbs_measure",
-    "stationary_vector",
     "nu_cylinder_table",
     "nu_cylinder",
     "markov_entropy_rate",
@@ -46,6 +49,21 @@ __all__ = [
 
 DEFAULT_EIGEN_TOL = 1e-13
 MAX_POWER_ITER = 10**6
+# Bordered chain solves up to this many blocks use dense LAPACK; above it a
+# sparse LU.  On a 2-core AMD EPYC the two cost about the same at 128
+# blocks, the dense one is 3-4x cheaper at 64 and up to 3x dearer at 256; the
+# dense side also needs no scipy import.
+DENSE_SOLVE_MAX = 128
+# Power steps stop once their contraction ratio, measured over the last
+# SWITCH_WINDOW steps, projects more than SWITCH_STEPS further steps to
+# certify; a warm-started Newton solve costs about that many power steps.
+SWITCH_WINDOW = 3
+SWITCH_STEPS = 40
+# Newton on a nearly reducible chain can spend dozens of steps with a
+# settled gain and a non-monotone spread while it moves the offsets between
+# weakly coupled classes by about one unit per step; some strongly scaled
+# d=3 costs shifted by a dual potential need 70-115.
+MAX_NEWTON = 120
 
 
 def effective_cost(cost):
@@ -76,114 +94,58 @@ def successor_table(alphabet_size, n_blocks):
     return (a + alphabet_size * b) % n_blocks
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Dense transfer weights on block states.
+def _bordered_solve(weights, succ, rhs, transpose=False):
+    """Solve ``B x = rhs`` (or ``B^T x = rhs``) for the bordered chain matrix.
 
-    ``matrix[b', b] = sum_x exp(c(x, a.b))`` for the unique symbol ``a``
-    with ``succ(b, a) = b'`` (zero when no such symbol exists).  ``per_x``
-    keeps the x-resolved weights for plan construction;
-    ``matrix == per_x.sum(axis=0)``.
+    ``B = P - I`` with column 0 replaced by ``-1``, where the row-stochastic
+    chain is ``P[b, succ[b, a]] = weights[b, a]``.  ``B`` is nonsingular
+    exactly when ``P`` has a single recurrent class.  The diagonal of
+    ``P - I`` is taken as minus the row's off-diagonal sum, as in the
+    Grassmann-Taksar-Heyman method: ``P[b, b] - 1`` would cancel to 0 on a
+    nearly reducible chain and lose the small escape probabilities that
+    decide its stationary vector.  Up to ``DENSE_SOLVE_MAX`` blocks LAPACK
+    solves the dense matrix; above it a sparse LU is factored from a CSC
+    matrix built straight from ``succ``, and no ``n x n`` array exists.  A
+    singular matrix raises ``ConvergenceError`` with the residual of the
+    unsolved system, ``max |rhs|``.
     """
+    n, d = weights.shape
+    off = succ != np.arange(n)[:, None]
+    escape = np.where(off, weights, 0.0)
+    if n <= DENSE_SOLVE_MAX:
+        mat = np.zeros((n, n))
+        mat[np.arange(n)[:, None], succ] = escape
+        mat[np.diag_indices(n)] = -escape.sum(axis=1)
+        mat[:, 0] = -1.0
+        try:
+            x = np.linalg.solve(mat.T if transpose else mat, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise _singular(exc, rhs) from exc
+    else:
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
 
-    matrix: np.ndarray
-    per_x: np.ndarray
-    alphabet_size: int
-    depth: int
-
-    @property
-    def size(self):
-        return self.matrix.shape[0]
-
-
-def assemble_transfer(cost):
-    """Assemble the block-state transfer matrix of a finite-memory cost."""
-    cost = effective_cost(cost)
-    d = cost.alphabet_size
-    n_blocks = block_count(cost)
-    weights = np.exp(action_view(cost))
-    succ = successor_table(d, n_blocks)
-    per_x = np.zeros((cost.num_x, n_blocks, n_blocks))
-    cols = np.arange(n_blocks)
-    for a in range(d):
-        per_x[:, succ[:, a], cols] = weights[:, :, a]
-    return TransferMatrix(per_x.sum(axis=0), per_x, d, cost.depth)
-
-
-@dataclass(frozen=True)
-class PerronSolution:
-    """Dominant eigendata of a transfer matrix.
-
-    ``h`` is the positive eigenfunction of the operator (``M.T h = lam h``),
-    gauge-fixed by ``min(h) = 1``.  ``left`` is the eigen-measure direction
-    (``M left = lam left``), normalized to sum 1.
-    """
-
-    lam: float
-    h: np.ndarray
-    left: np.ndarray
-    residual: float
-    gap_estimate: float
-    iterations: int
+        # triplets: off-diagonal chain entries off column 0, the diagonal
+        # off column 0, and -1 down column 0
+        cols = succ.ravel()
+        keep = off.ravel() & (cols != 0)
+        rest = np.arange(1, n)
+        rows = np.concatenate((np.repeat(np.arange(n), d)[keep], rest, np.arange(n)))
+        cols = np.concatenate((cols[keep], rest, np.zeros(n, dtype=cols.dtype)))
+        data = np.concatenate((escape.ravel()[keep], -escape.sum(axis=1)[1:], np.full(n, -1.0)))
+        try:
+            lu = splu(csc_matrix((data, (rows, cols)), shape=(n, n)))
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise _singular(exc, rhs) from exc
+        x = lu.solve(rhs, trans="T" if transpose else "N")
+    if not np.isfinite(x).all():
+        raise _singular("non-finite solution", rhs)
+    return x
 
 
-def _power_iterate(op, size, tol, max_iter):
-    """Collatz-Wielandt power iteration for a positivity-preserving map."""
-    v = np.ones(size)
-    gap = 0.0
-    prev_diff = None
-    for it in range(1, max_iter + 1):
-        w = op(v)
-        ratios = w / v
-        lam = 0.5 * (ratios.min() + ratios.max())
-        spread = ratios.max() - ratios.min()
-        w_next = w / w.max()
-        diff = np.abs(w_next - v / v.max()).max()
-        # contraction ratios below the noise floor carry no information
-        if prev_diff is not None and prev_diff > 1e-12 and diff > 1e-14:
-            gap = diff / prev_diff
-        prev_diff = diff
-        v = w_next
-        # Collatz-Wielandt: lam is bracketed by the ratio spread, and the
-        # gauged residual must also clear tol before we stop.
-        if spread <= tol * lam and np.abs(op(v) - lam * v).max() <= tol * lam * v.min():
-            return lam, v, min(gap, 1.0), it
-    raise ConvergenceError(
-        f"power iteration did not converge (last spread {spread:.3e})",
-        residual=spread / max(lam, 1e-300),
-        iterations=max_iter,
-    )
-
-
-def perron_solve(transfer, tol=DEFAULT_EIGEN_TOL, max_iter=MAX_POWER_ITER):
-    """Dominant eigenvalue, eigenfunction and eigen-measure by power iteration.
-
-    Parameters
-    ----------
-    transfer : TransferMatrix or array_like
-        Nonnegative primitive matrix in ``matrix[b', b]`` orientation.
-    tol : float
-        Relative residual tolerance on the eigen-equation.
-
-    Returns
-    -------
-    PerronSolution
-    """
-    mat = transfer.matrix if isinstance(transfer, TransferMatrix) else np.asarray(transfer, float)
-    size = mat.shape[0]
-    lam, v, gap, it_h = _power_iterate(lambda u: mat.T @ u, size, tol, max_iter)
-    _, w, _, it_l = _power_iterate(lambda u: mat @ u, size, tol, max_iter)
-    h = v / v.min()
-    left = w / w.sum()
-    residual = float(np.abs(mat.T @ h - lam * h).max() / lam)
-    if gap > 1.0 - 1e-8:
-        warnings.warn(
-            f"estimated subdominant ratio {gap:.12f} is close to 1; "
-            "dominant eigendata may be ill-conditioned",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return PerronSolution(float(lam), h, left, residual, float(gap), it_h + it_l)
+def _singular(reason, rhs):
+    return ConvergenceError(f"bordered chain solve failed: {reason}",
+                            residual=float(np.abs(rhs).max()))
 
 
 def _log_transfer_apply(ct, succ, u):
@@ -193,33 +155,84 @@ def _log_transfer_apply(ct, succ, u):
     return mx + np.log(np.exp(t - mx[None, :, None]).sum(axis=(0, 2)))
 
 
-def _scaled_dense_eig(ct, succ, n_blocks):
-    """Dominant log-eigendata via a tropically preconditioned dense solve.
+def _spread(ct, succ, u):
+    """Spread of ``T(u) - u``: it brackets ``log lambda`` (Collatz-Wielandt)."""
+    diff = _log_transfer_apply(ct, succ, u) - u
+    return float(diff.max() - diff.min())
 
-    Conjugating by the calibrated subaction and subtracting the maximum
-    cycle mean puts every weight in (0, 1], so the reduced matrix has its
-    dominant eigenvalue in [1, #X*d] and the dense eigensolve is perfectly
-    conditioned regardless of how strongly the cost is scaled.
+
+def _log_chain(ct, succ, u):
+    """``T(u) = LSE_{x,a}(c + u[succ])`` and the chain ``P[b, a]`` it weights."""
+    t = ct + u[succ][None, :, :]
+    mx = t.max(axis=(0, 2))
+    w = np.exp(t - mx[None, :, None]).sum(axis=0)
+    s = w.sum(axis=1)
+    return mx + np.log(s), w / s[:, None]
+
+
+def _newton(ct, succ, u, target):
+    """Newton on ``G(u, l) = T(u) - u - l`` gauged by ``u(0) = 0``.
+
+    Each step solves the bordered system with the chain of the current
+    iterate; ``T`` is convex, so after the first step the gain ``l``
+    rises monotonically, as in policy iteration.  Runs one step past the
+    first iterate whose spread is within ``target(log_lam, u)`` and returns
+    the best ``(log_lam, u, spread, steps)`` seen.
     """
-    from ._tropical import calibrated_subaction, karp_cycle_mean
+    u = u - u[0]
+    best = None
+    extra = False
+    for step in range(1, MAX_NEWTON + 1):
+        lse, weights = _log_chain(ct, succ, u)
+        diff = lse - u
+        spread = float(diff.max() - diff.min())
+        log_lam = 0.5 * float(diff.max() + diff.min())
+        if not np.isfinite(spread):
+            break
+        if best is None or spread < best[2]:
+            best = (log_lam, u, spread, step)
+        if extra:
+            break
+        extra = best[2] <= target(best[0], best[1])
+        try:
+            u = u + _bordered_solve(weights, succ, log_lam - diff)
+        except ConvergenceError:
+            if extra:  # a chain that is reducible in floats can still certify
+                break
+            raise
+        u[0] = 0.0
+    if best is None:
+        raise ConvergenceError("Newton eigensolve produced non-finite values",
+                               iterations=MAX_NEWTON)
+    return best
 
-    weights = ct.max(axis=0)
-    mean_frac, cycle = karp_cycle_mean(weights, succ)
-    v_cal = calibrated_subaction(weights, succ, mean_frac, cycle)
-    mean = float(mean_frac)
-    reduced = ct + v_cal[succ][None, :, :] - v_cal[None, :, None] - mean
-    mat = np.zeros((n_blocks, n_blocks))
-    cols = np.arange(n_blocks)
-    for a in range(succ.shape[1]):
-        mat[succ[:, a], cols] += np.exp(reduced[:, :, a]).sum(axis=0)
-    eigvals, eigvecs = np.linalg.eig(mat.T)
-    i = int(np.argmax(eigvals.real))
-    h_tilde = eigvecs[:, i].real
-    h_tilde = np.abs(h_tilde)
-    h_tilde = np.clip(h_tilde, 1e-300, None)
-    log_lam = float(np.log(eigvals[i].real) + mean)
-    u = np.log(h_tilde) + v_cal
-    return log_lam, u - u.min()
+
+def _power_steps(ct, succ, u, steps, target, switch):
+    """LSE power steps numbered ``steps`` from ``u``.
+
+    Returns ``(result, u, it)``: ``result`` is the certified 4-tuple of
+    ``log_perron`` or None, ``u`` the last iterate (gauged ``min = 0``) and
+    ``it`` the last step number.  With ``switch`` the steps stop early once
+    the contraction measured over ``SWITCH_WINDOW`` steps projects more than
+    ``SWITCH_STEPS`` further steps to reach ``target``.
+    """
+    spreads = []
+    it = steps.start - 1
+    for it in steps:
+        v = _log_transfer_apply(ct, succ, u)
+        diff = v - u
+        spread = float(diff.max() - diff.min())
+        log_lam = 0.5 * float(diff.max() + diff.min())
+        u = v - v.min()
+        goal = target(log_lam, v)
+        if spread <= goal:
+            return (log_lam, u, spread, it), u, it
+        spreads.append(spread)
+        if switch and len(spreads) > SWITCH_WINDOW:
+            ratio = (spread / spreads[-1 - SWITCH_WINDOW]) ** (1.0 / SWITCH_WINDOW)
+            if ratio >= 1.0 or np.log(goal / spread) / np.log(ratio) > SWITCH_STEPS:
+                break
+    return None, u, it
 
 
 def log_perron(cost, tol=DEFAULT_EIGEN_TOL, max_iter=MAX_POWER_ITER, fast_iter=400):
@@ -227,10 +240,23 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL, max_iter=MAX_POWER_ITER, fast_iter=4
 
     Never exponentiates the cost globally, so arbitrarily scaled costs
     (large inverse temperatures) are safe.  ``log h`` is gauged to
-    ``min = 0``.  Log-sum-exp power iteration first; when the chain is
-    nearly periodic (contraction ratio close to -1, common for strongly
-    scaled costs with a critical 2-cycle) it falls back to a preconditioned
-    dense solve, polished and certified by the same log-domain residual.
+    ``min = 0`` and the residual is the certified spread of
+    ``T(log h) - log h``, which brackets ``log lambda``.  Three stages:
+
+    1. log-sum-exp power steps while their measured contraction projects
+       certification within ``SWITCH_STEPS`` further steps (at most
+       ``fast_iter``);
+    2. float max-plus policy iteration on ``max_x c`` (Howard), whose bias
+       warm-starts Newton unless the power iterate is already the better
+       start;
+    3. Newton on the log eigen-equation, one bordered chain solve per step,
+       retried from the other start if it fails.
+
+    If Newton fails from both starts (a singular bordered matrix, or a
+    stall on a nearly reducible chain), the rest of the ``fast_iter``
+    power-step budget runs from the best Newton iterate before
+    ``ConvergenceError`` is raised.  ``iterations`` counts power steps plus
+    Newton steps.
     """
     cost = effective_cost(cost)
     ct = action_view(cost)
@@ -238,44 +264,54 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL, max_iter=MAX_POWER_ITER, fast_iter=4
     succ = successor_table(cost.alphabet_size, n_blocks)
     ct_scale = float(np.abs(ct).max())
 
-    def spread_tol(scale_extra):
+    def target(log_lam, u):
         # spreads below the float resolution of the quantities involved are
         # unreachable; the tolerance scales with their magnitude
-        return max(tol, 4e-15 * max(1.0, ct_scale, scale_extra))
+        return max(tol, 4e-15 * max(1.0, ct_scale, float(np.abs(u).max()), abs(log_lam)))
 
-    u = np.zeros(n_blocks)
-    it = 0
-    for it in range(1, min(fast_iter, max_iter) + 1):
-        v = _log_transfer_apply(ct, succ, u)
-        diff = v - u
-        spread = diff.max() - diff.min()
-        log_lam = 0.5 * (diff.max() + diff.min())
-        u = v - v.min()
-        if spread <= spread_tol(max(float(np.abs(v).max()), abs(log_lam))):
-            return float(log_lam), u, float(spread), it
+    budget = range(1, min(fast_iter, max_iter) + 1)
+    done, u, it = _power_steps(ct, succ, np.zeros(n_blocks), budget, target, True)
+    if done:
+        return done
 
-    # fallback: preconditioned dense eigensolve, then certify in log domain
-    log_lam, u = _scaled_dense_eig(ct, succ, n_blocks)
-    best = None
-    for polish in range(60):
-        v = _log_transfer_apply(ct, succ, u)
-        diff = v - u
-        spread = float(diff.max() - diff.min())
-        log_lam = 0.5 * (diff.max() + diff.min())
+    # An LSE of #X*d terms exceeds their max by at most log(#X*d), so that
+    # bounds the spread of the Howard bias: a power iterate within it is
+    # tried first and Howard runs only if Newton fails from there.
+    # Otherwise the start with the smaller spread goes first.
+    if _spread(ct, succ, u) <= np.log(ct.shape[0] * ct.shape[2]):
+        starts = [u, None]
+    else:
+        bias = howard_policy_iteration(ct.max(axis=0), succ, u)[1]
+        starts = sorted((bias, u), key=lambda start: _spread(ct, succ, start))
+    failure, best = None, None
+    for start in starts:
+        if start is None:
+            start = howard_policy_iteration(ct.max(axis=0), succ, u)[1]
+        try:
+            result = _newton(ct, succ, start, target)
+        except ConvergenceError as exc:
+            failure = exc
+            continue
+        log_lam, u_best, spread, steps = result
+        scale = max(1.0, ct_scale, float(np.abs(u_best).max()), abs(log_lam))
+        if spread <= max(tol, 3e-14 * scale):
+            return log_lam, u_best - u_best.min(), spread, it + steps
+        failure = ConvergenceError(
+            f"log-domain eigensolve did not certify (residual spread {spread:.3e})",
+            residual=spread, iterations=it + steps,
+        )
         if best is None or spread < best[2]:
-            best = (float(log_lam), u.copy(), spread, it + polish + 1)
-        u = v - v.min()
-        if spread <= spread_tol(max(float(np.abs(v).max()), abs(log_lam))):
-            return float(log_lam), u, spread, it + polish + 1
-    log_lam, u, spread, iters = best
-    scale = max(1.0, ct_scale, float(np.abs(u).max()), abs(log_lam))
-    if spread <= max(tol, 3e-14 * scale):
-        return log_lam, u, spread, iters
-    raise ConvergenceError(
-        f"log-domain eigensolve did not certify (residual spread {spread:.3e})",
-        residual=spread,
-        iterations=iters,
-    )
+            best = result
+    # On a nearly reducible chain Newton can stall with a tiny spread while
+    # weakly coupled blocks sit units away from their values, where its
+    # solves are ill-conditioned; power steps settle those blocks.  The rest
+    # of the power-step budget runs from the best Newton iterate, or from
+    # the power iterate if no Newton solve succeeded.
+    resume = u if best is None else best[1] - best[1].min()
+    done, _, _ = _power_steps(ct, succ, resume, budget[it:], target, False)
+    if done:
+        return done
+    raise failure
 
 
 def pressure(cost, tol=DEFAULT_EIGEN_TOL):
@@ -316,23 +352,15 @@ class NormalizedCost:
         return self.cost.depth
 
 
-def normalize_cost(cost, sol=None, tol=DEFAULT_EIGEN_TOL):
+def normalize_cost(cost, tol=DEFAULT_EIGEN_TOL):
     """Normalize a cost with its dominant eigendata.
 
-    ``cbar(x, a.b) = c(x, a.b) + log h(succ(b, a)) - log h(b) - log lambda``.
-    When ``sol`` is omitted the eigenproblem is solved in log domain, which
-    keeps the operation safe for strongly scaled costs.
+    ``cbar(x, a.b) = c(x, a.b) + log h(succ(b, a)) - log h(b) - log lambda``,
+    with the eigenproblem solved in log domain, which keeps the operation
+    safe for strongly scaled costs.
     """
     cost = effective_cost(cost)
-    if sol is None:
-        log_lam, u, _, _ = log_perron(cost, tol=tol)
-    else:
-        if sol.residual > 1e-8:
-            raise SpecValidationError(
-                f"eigendata residual {sol.residual:.3e} too large to normalize against"
-            )
-        log_lam = float(np.log(sol.lam))
-        u = np.log(sol.h)
+    log_lam, u, _, _ = log_perron(cost, tol=tol)
     ct = action_view(cost)
     succ = successor_table(cost.alphabet_size, block_count(cost))
     cbar = ct + u[succ][None, :, :] - u[None, :, None] - log_lam
@@ -368,7 +396,7 @@ class MarkovMeasure:
             raise SpecValidationError(f"stationary vector sums to {p.sum()!r}")
         p = p / p.sum()
         support = p > 0.0
-        col_defect = np.abs(q[:, support].sum(axis=0) - 1.0)
+        col_defect = np.abs(q.sum(axis=0)[support] - 1.0)
         if col_defect.size and col_defect.max() > 1e-12:
             raise SpecValidationError(
                 f"column sums deviate from 1 by {col_defect.max():.3e} on supported states"
@@ -394,30 +422,50 @@ class MarkovMeasure:
         return k
 
 
-def stationary_vector(q, tol=1e-12, refine_iter=10000):
-    """Stationary vector of a column-stochastic matrix via a bordered solve."""
-    n = q.shape[0]
-    a = np.vstack([q - np.eye(n), np.ones((1, n))])
-    rhs = np.zeros(n + 1)
-    rhs[-1] = 1.0
-    p, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-    p = np.clip(p, 0.0, None)
+def _stationary(weights, succ, tol=1e-12):
+    """Stationary vector of the row-stochastic chain ``P[b, succ[b, a]] = weights[b, a]``.
+
+    ``B^T p = -e_0`` for the bordered matrix of ``_bordered_solve`` says
+    ``(P^T p)_j = p_j`` for ``j != 0`` and ``sum(p) = 1``; the remaining
+    equation follows because ``P`` is stochastic, so the solve is exact.
+    A stationarity residual above ``tol`` raises ``ConvergenceError``.
+    """
+    n = weights.shape[0]
+    rhs = np.zeros(n)
+    rhs[0] = -1.0
+    p = np.clip(_bordered_solve(weights, succ, rhs, transpose=True), 0.0, None)
     p = p / p.sum()
-    if np.abs(q @ p - p).max() > tol:
-        for it in range(refine_iter):
-            p_next = q @ p
-            p_next = p_next / p_next.sum()
-            if np.abs(p_next - p).max() <= 0.1 * tol:
-                p = p_next
-                break
-            p = p_next
-        if np.abs(q @ p - p).max() > tol:
-            raise ConvergenceError(
-                "stationary vector iteration did not converge",
-                residual=float(np.abs(q @ p - p).max()),
-                iterations=refine_iter,
-            )
+    flow = np.bincount(succ.ravel(), (weights * p[:, None]).ravel(), minlength=n)
+    residual = float(np.abs(flow - p).max())
+    if residual > tol:
+        raise ConvergenceError(
+            f"stationary vector residual {residual:.3e} exceeds {tol:.0e}",
+            residual=residual,
+        )
     return p
+
+
+def _log_gth_stationary(log_w, succ):
+    """Stationary vector by Grassmann-Taksar-Heyman state reduction in log domain.
+
+    ``log_w[b, a]`` is the log of ``P[b, succ[b, a]]``.  Every step adds
+    positive terms, so escape probabilities far below the float range
+    (which make the bordered matrix exactly singular) still decide the
+    result.  Dense and ``O(n^3)``: the fallback for small chains only.
+    """
+    n = log_w.shape[0]
+    logp_chain = np.full((n, n), -np.inf)
+    logp_chain[np.arange(n)[:, None], succ] = log_w
+    np.fill_diagonal(logp_chain, -np.inf)
+    escape = np.empty(n)
+    for k in range(n - 1, 0, -1):
+        escape[k] = np.logaddexp.reduce(logp_chain[k, :k])
+        through_k = logp_chain[:k, k][:, None] + (logp_chain[k, :k] - escape[k])[None, :]
+        logp_chain[:k, :k] = np.logaddexp(logp_chain[:k, :k], through_k)
+    logp = np.zeros(n)
+    for k in range(1, n):
+        logp[k] = np.logaddexp.reduce(logp[:k] + logp_chain[:k, k]) - escape[k]
+    return np.exp(logp - np.logaddexp.reduce(logp))
 
 
 def gibbs_measure(normalized):
@@ -425,19 +473,30 @@ def gibbs_measure(normalized):
 
     ``q[b', b] = sum_x exp(cbar(x, a.b))`` and ``p`` is its stationary
     vector; for a normalized cost the chain is column-stochastic, so the
-    dual fixed point is exactly the stationary block-Markov measure.
+    dual fixed point is exactly the stationary block-Markov measure.  A
+    chain that is reducible in floats (escape probabilities that underflow)
+    makes the bordered solve singular; up to ``DENSE_SOLVE_MAX`` blocks the
+    log-domain GTH reduction then gives ``p``, above it the failure stands.
     """
     cost = normalized.cost
     d = cost.alphabet_size
     n_blocks = block_count(cost)
-    weights = np.exp(action_view(cost)).sum(axis=0)
+    ct = action_view(cost)
+    weights = np.exp(ct).sum(axis=0)
     weights = weights / weights.sum(axis=1)[:, None]
     succ = successor_table(d, n_blocks)
+    try:
+        p = _stationary(weights, succ)
+    except ConvergenceError:
+        if n_blocks > DENSE_SOLVE_MAX:
+            raise
+        mx = ct.max(axis=0)
+        log_w = mx + np.log(np.exp(ct - mx[None, :, :]).sum(axis=0))
+        row_mx = log_w.max(axis=1)[:, None]
+        log_w -= row_mx + np.log(np.exp(log_w - row_mx).sum(axis=1))[:, None]
+        p = _log_gth_stationary(log_w, succ)
     q = np.zeros((n_blocks, n_blocks))
-    cols = np.arange(n_blocks)
-    for a in range(d):
-        q[succ[:, a], cols] = weights[:, a]
-    p = stationary_vector(q)
+    q[succ, np.arange(n_blocks)[:, None]] = weights
     return MarkovMeasure(q, p, d)
 
 
@@ -479,5 +538,8 @@ def nu_cylinder(measure, word):
 def markov_entropy_rate(measure):
     """Kolmogorov entropy of the block-Markov measure, in nats."""
     q = measure.q
-    terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-    return float(-(terms.sum(axis=0) * measure.p).sum())
+    rows, cols = np.nonzero(q > 0.0)
+    mass = q[rows, cols]
+    # row-major order adds each column's terms in the order q.sum(axis=0) does
+    terms = np.bincount(cols, mass * np.log(mass), minlength=q.shape[1])
+    return float(-(terms * measure.p).sum())

@@ -1,13 +1,31 @@
-"""Shared fixtures: reference instances with closed-form data, random builders."""
+"""Shared fixtures: reference instances with closed-form data, random builders.
+
+Also the dense linear-domain oracles: the transfer matrix, Collatz-Wielandt
+power iteration for its Perron data, normalization against such data, and a
+least-squares stationary vector.  The package solves all of these in log
+domain on the block chain; the tests check it against these independent paths.
+"""
 
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from ergotrans.errors import ConvergenceError, SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
 from ergotrans.plans import FiniteMemoryPlan, periodic_orbit_measure, uniform_bernoulli_measure
-from ergotrans.transfer import MarkovMeasure, stationary_vector, successor_table
+from ergotrans.transfer import (
+    DEFAULT_EIGEN_TOL,
+    MAX_POWER_ITER,
+    MarkovMeasure,
+    NormalizedCost,
+    action_view,
+    block_count,
+    effective_cost,
+    successor_table,
+)
 
 # Two-state reference instance: per-x weight matrices [[1,1],[1,1]] and
 # [[1,1],[1,2]] on two symbols, depth 2.  The summed transfer matrix is
@@ -100,3 +118,186 @@ def scalar_entropy(weights):
     w = np.asarray(weights, float)
     w = w[w > 0]
     return float(-(w * np.log(w)).sum())
+
+
+# -- dense oracles ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class TransferMatrix:
+    """Dense transfer weights on block states.
+
+    ``matrix[b', b] = sum_x exp(c(x, a.b))`` for the unique symbol ``a``
+    with ``succ(b, a) = b'`` (zero when no such symbol exists).  ``per_x``
+    keeps the x-resolved weights for plan construction;
+    ``matrix == per_x.sum(axis=0)``.
+    """
+
+    matrix: np.ndarray
+    per_x: np.ndarray
+    alphabet_size: int
+    depth: int
+
+    @property
+    def size(self):
+        return self.matrix.shape[0]
+
+
+def assemble_transfer(cost):
+    """Assemble the block-state transfer matrix of a finite-memory cost."""
+    cost = effective_cost(cost)
+    d = cost.alphabet_size
+    n_blocks = block_count(cost)
+    weights = np.exp(action_view(cost))
+    succ = successor_table(d, n_blocks)
+    per_x = np.zeros((cost.num_x, n_blocks, n_blocks))
+    cols = np.arange(n_blocks)
+    for a in range(d):
+        per_x[:, succ[:, a], cols] = weights[:, :, a]
+    return TransferMatrix(per_x.sum(axis=0), per_x, d, cost.depth)
+
+
+@dataclass(frozen=True)
+class PerronSolution:
+    """Dominant eigendata of a transfer matrix.
+
+    ``h`` is the positive eigenfunction of the operator (``M.T h = lam h``),
+    gauge-fixed by ``min(h) = 1``.  ``left`` is the eigen-measure direction
+    (``M left = lam left``), normalized to sum 1.
+    """
+
+    lam: float
+    h: np.ndarray
+    left: np.ndarray
+    residual: float
+    gap_estimate: float
+    iterations: int
+
+
+def _power_iterate(op, size, tol, max_iter):
+    """Collatz-Wielandt power iteration for a positivity-preserving map."""
+    v = np.ones(size)
+    gap = 0.0
+    prev_diff = None
+    for it in range(1, max_iter + 1):
+        w = op(v)
+        ratios = w / v
+        lam = 0.5 * (ratios.min() + ratios.max())
+        spread = ratios.max() - ratios.min()
+        w_next = w / w.max()
+        diff = np.abs(w_next - v / v.max()).max()
+        # contraction ratios below the noise floor carry no information
+        if prev_diff is not None and prev_diff > 1e-12 and diff > 1e-14:
+            gap = diff / prev_diff
+        prev_diff = diff
+        v = w_next
+        # Collatz-Wielandt: lam is bracketed by the ratio spread, and the
+        # gauged residual must also clear tol before we stop.
+        if spread <= tol * lam and np.abs(op(v) - lam * v).max() <= tol * lam * v.min():
+            return lam, v, min(gap, 1.0), it
+    raise ConvergenceError(
+        f"power iteration did not converge (last spread {spread:.3e})",
+        residual=spread / max(lam, 1e-300),
+        iterations=max_iter,
+    )
+
+
+def perron_solve(transfer, tol=DEFAULT_EIGEN_TOL, max_iter=MAX_POWER_ITER):
+    """Dominant eigenvalue, eigenfunction and eigen-measure by power iteration.
+
+    Parameters
+    ----------
+    transfer : TransferMatrix or array_like
+        Nonnegative primitive matrix in ``matrix[b', b]`` orientation.
+    tol : float
+        Relative residual tolerance on the eigen-equation.
+
+    Returns
+    -------
+    PerronSolution
+    """
+    mat = transfer.matrix if isinstance(transfer, TransferMatrix) else np.asarray(transfer, float)
+    size = mat.shape[0]
+    lam, v, gap, it_h = _power_iterate(lambda u: mat.T @ u, size, tol, max_iter)
+    _, w, _, it_l = _power_iterate(lambda u: mat @ u, size, tol, max_iter)
+    h = v / v.min()
+    left = w / w.sum()
+    residual = float(np.abs(mat.T @ h - lam * h).max() / lam)
+    if gap > 1.0 - 1e-8:
+        warnings.warn(
+            f"estimated subdominant ratio {gap:.12f} is close to 1; "
+            "dominant eigendata may be ill-conditioned",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return PerronSolution(float(lam), h, left, residual, float(gap), it_h + it_l)
+
+
+def normalize_with_solution(cost, sol):
+    """Normalize a cost against linear-domain Perron data from ``perron_solve``."""
+    cost = effective_cost(cost)
+    if sol.residual > 1e-8:
+        raise SpecValidationError(
+            f"eigendata residual {sol.residual:.3e} too large to normalize against"
+        )
+    log_lam = float(np.log(sol.lam))
+    u = np.log(sol.h)
+    ct = action_view(cost)
+    succ = successor_table(cost.alphabet_size, block_count(cost))
+    cbar = ct + u[succ][None, :, :] - u[None, :, None] - log_lam
+    flat = cbar.reshape(cost.num_x, cost.word_count)
+    return NormalizedCost(CostTensor(flat, cost.alphabet_size, cost.depth), log_lam, u)
+
+
+def stationary_vector(q, tol=1e-12, refine_iter=10000):
+    """Stationary vector of a column-stochastic matrix via a bordered solve."""
+    n = q.shape[0]
+    a = np.vstack([q - np.eye(n), np.ones((1, n))])
+    rhs = np.zeros(n + 1)
+    rhs[-1] = 1.0
+    p, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+    p = np.clip(p, 0.0, None)
+    p = p / p.sum()
+    if np.abs(q @ p - p).max() > tol:
+        for it in range(refine_iter):
+            p_next = q @ p
+            p_next = p_next / p_next.sum()
+            if np.abs(p_next - p).max() <= 0.1 * tol:
+                p = p_next
+                break
+            p = p_next
+        if np.abs(q @ p - p).max() > tol:
+            raise ConvergenceError(
+                "stationary vector iteration did not converge",
+                residual=float(np.abs(q @ p - p).max()),
+                iterations=refine_iter,
+            )
+    return p
+
+
+def scaled_dense_log_perron(cost):
+    """Log-domain Perron data by a tropically preconditioned dense eigensolve.
+
+    Conjugating by the exact calibrated subaction and subtracting the exact
+    maximum cycle mean puts every weight in (0, 1], so the reduced matrix has
+    its dominant eigenvalue in [1, #X*d] and ``np.linalg.eig`` is well
+    conditioned however strongly the cost is scaled.  Returns
+    ``(log lambda, log h)`` with ``log h`` gauged to ``min = 0``.
+    """
+    from ergotrans._tropical import calibrated_subaction, karp_cycle_mean
+
+    cost = effective_cost(cost)
+    ct = action_view(cost)
+    n_blocks = block_count(cost)
+    succ = successor_table(cost.alphabet_size, n_blocks)
+    weights = ct.max(axis=0)
+    mean_frac, cycle = karp_cycle_mean(weights, succ)
+    v_cal = calibrated_subaction(weights, succ, mean_frac, cycle)
+    mean = float(mean_frac)
+    reduced = ct + v_cal[succ][None, :, :] - v_cal[None, :, None] - mean
+    mat = np.zeros((n_blocks, n_blocks))
+    mat[succ, np.arange(n_blocks)[:, None]] = np.exp(reduced).sum(axis=0)
+    eigvals, eigvecs = np.linalg.eig(mat.T)
+    i = int(np.argmax(eigvals.real))
+    h_tilde = np.clip(np.abs(eigvecs[:, i].real), 1e-300, None)
+    u = np.log(h_tilde) + v_cal
+    return float(np.log(eigvals[i].real) + mean), u - u.min()

@@ -14,11 +14,9 @@ import pytest
 
 from ergotrans.symbolic import CostTensor, Marginal, decode_word
 from ergotrans.transfer import (
-    assemble_transfer,
     gibbs_measure,
     markov_entropy_rate,
     normalize_cost,
-    perron_solve,
     pressure,
 )
 from ergotrans.plans import (
@@ -53,8 +51,10 @@ from ergotrans.cli import main as cli_main
 
 from conftest import (
     REF_LAMBDA,
+    assemble_transfer,
     copy_plan,
     make_two_state_cost,
+    perron_solve,
     random_cost,
     random_marginal,
     random_markov_measure,

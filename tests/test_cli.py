@@ -126,3 +126,45 @@ def test_wall_time_on_stderr_not_in_report(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "wall_time_ms=" in err
     assert b"wall_time" not in out.read_bytes()
+
+
+def _changes_cost(d, m, penalty=-1000.0):
+    """Single-x cost ``penalty * (symbol changes in the word)``.
+
+    Every weight off the constant words underflows against the constant
+    ones, so the normalized chain has two closed classes in floats (the two
+    constant blocks): its bordered matrix is exactly singular.
+    """
+    from ergotrans.symbolic import decode_word
+
+    values = []
+    for w in range(d**m):
+        word = decode_word(w, m, d)
+        values.append(penalty * sum(word[i] != word[i + 1] for i in range(m - 1)))
+    return {"num_x": 1, "alphabet_size": d, "depth": m, "cost": values}
+
+
+def test_chain_reducible_in_floats(tmp_path, capsys):
+    # two blocks, escape probabilities exp(-1000): the bordered matrix is
+    # exactly singular and the log-domain GTH fallback gives the Gibbs
+    # measure, (1/2, 1/2) by symmetry
+    spec = tmp_path / "reducible.json"
+    spec.write_text(json.dumps(_changes_cost(2, 2)))
+    assert main(["gibbs", "--spec", str(spec)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["stationary"] == [0.5, 0.5]
+
+
+def test_singular_sparse_chain_exits_3_without_traceback(tmp_path, capsys):
+    # 512 blocks, above the dense cap: no fallback for the stationary solve
+    spec = tmp_path / "singular.json"
+    spec.write_text(json.dumps(_changes_cost(2, 10)))
+    # the pressure is well defined and certifies
+    assert main(["pressure", "--spec", str(spec)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert abs(report["results"]["pressure"]) <= 1e-12
+    # SuperLU's "Factor is exactly singular" surfaces as a solver failure
+    assert main(["gibbs", "--spec", str(spec)]) == 3
+    captured = capsys.readouterr()
+    assert "solver failure" in captured.err and "singular" in captured.err.lower()
+    assert "Traceback" not in captured.err and captured.out == ""

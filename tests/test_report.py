@@ -1,0 +1,125 @@
+"""Report rendering: byte equality with the original recursive renderer."""
+
+import json
+
+import numpy as np
+
+from ergotrans.report import render_report
+
+
+def _legacy_scalar(value):
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if v != v:
+            return '"nan"'
+        if v in (float("inf"), float("-inf")):
+            return '"inf"' if v > 0 else '"-inf"'
+        return format(v, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot render {type(value)!r} in a report")
+
+
+def _legacy(value, indent):
+    """The original renderer: one string per output line, joined per level."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        lines = ["{"]
+        items = list(value.items())
+        for i, (key, val) in enumerate(items):
+            comma = "," if i + 1 < len(items) else ""
+            lines.append(f"{inner}{json.dumps(str(key))}: {_legacy(val, indent + 1)}{comma}")
+        lines.append(pad + "}")
+        return "\n".join(lines)
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq) and len(seq) <= 8:
+            return "[" + ", ".join(_legacy_scalar(v) for v in seq) + "]"
+        lines = ["["]
+        for i, val in enumerate(seq):
+            comma = "," if i + 1 < len(seq) else ""
+            lines.append(f"{inner}{_legacy(val, indent + 1)}{comma}")
+        lines.append(pad + "]")
+        return "\n".join(lines)
+    return _legacy_scalar(value)
+
+
+def legacy_render_report(report):
+    return _legacy(report, 0) + "\n"
+
+
+SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-300, -2.5, 1 / 3]
+
+
+def _random_float_array(rng, shape):
+    arr = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 5, size=shape)
+    mask = rng.random(size=shape)
+    arr[mask < 0.3] = 0.0
+    arr[(mask >= 0.3) & (mask < 0.4)] = -0.0
+    picks = rng.integers(0, len(SPECIAL), size=shape)
+    special = np.array(SPECIAL)[picks]
+    return np.where(mask > 0.9, special, arr)
+
+
+def _random_tree(rng, depth):
+    kind = int(rng.integers(0, 9 if depth < 3 else 4))
+    if kind == 0:
+        return float(rng.choice(SPECIAL + [float(rng.normal())]))
+    if kind == 1:
+        return int(rng.integers(-10**6, 10**6))
+    if kind == 2:
+        return rng.choice([True, False, None, "label", 'quote"d'])
+    if kind == 3:
+        return np.float64(rng.normal())
+    if kind == 4:
+        n = int(rng.choice([0, 1, 7, 8, 9, 17]))
+        return [_random_tree(rng, depth + 1) for _ in range(n)]
+    if kind == 5:
+        n = int(rng.choice([8, 9]))
+        return tuple(float(v) for v in _random_float_array(rng, n))
+    if kind == 6:
+        shape = tuple(int(rng.choice([0, 1, 8, 9])) for _ in range(int(rng.integers(1, 4))))
+        return _random_float_array(rng, shape)
+    if kind == 7:
+        return rng.integers(-5, 5, size=int(rng.choice([3, 8, 9])))
+    return {f"k{i}": _random_tree(rng, depth + 1) for i in range(int(rng.integers(0, 5)))}
+
+
+def test_render_matches_legacy_on_random_trees():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        # rows longer than the renderer's 16-item pieces, cut on and off a boundary
+        long_row = int(rng.choice([15, 16, 17, 33, 50]))
+        tree = {"root": _random_tree(rng, 0), "arr": _random_float_array(rng, (9, 9)),
+                "long": [_random_float_array(rng, (2, long_row))]}
+        assert render_report(tree) == legacy_render_report(tree)
+
+
+def test_render_signed_zero_and_specials():
+    tree = {"v": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -0.0, 0.0, 2.0]),
+            "inline": np.array([-0.0, 0.0]), "scalar": -0.0, "empty": np.zeros((2, 0))}
+    text = render_report(tree)
+    assert text == legacy_render_report(tree)
+    assert '"nan"' in text and '"-inf"' in text and "-0," in text
+
+
+def test_render_exact_inline_boundary():
+    for n in (8, 9):
+        tree = {"floats": np.arange(n, dtype=float), "list": list(range(n)),
+                "mixed": [0.5] * (n - 1) + [-0.0]}
+        text = render_report(tree)
+        assert text == legacy_render_report(tree)
+        assert (text.count("\n") == 5) == (n == 8)

@@ -1,0 +1,274 @@
+"""Regression tests for the log-domain eigensolver, its Howard warm start and
+the Gibbs chain's stationary solve.
+
+A seeded random family up to ``(#X, d, m) = (3, 4, 4)`` at inverse
+temperatures up to 2**14 is checked against the dense oracles in
+``conftest``; the named cases pin inputs on which Newton needs the Howard
+warm start (nearly reducible scaled costs) and chains whose escape
+probabilities fall below machine epsilon or underflow.
+"""
+
+import math
+import subprocess
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import ergotrans.transfer as transfer
+from ergotrans.errors import ConvergenceError
+from ergotrans._tropical import howard_policy_iteration, karp_cycle_mean
+from ergotrans.symbolic import CostTensor
+from ergotrans.transfer import (
+    action_view,
+    block_count,
+    gibbs_measure,
+    log_perron,
+    normalize_cost,
+    successor_table,
+)
+from ergotrans.zerotemp import (
+    default_beta_grid,
+    karp_value,
+    maxplus_lift,
+    primal_lp_oracle,
+    zero_temp_constrained,
+)
+
+from conftest import (
+    assemble_transfer,
+    perron_solve,
+    random_cost,
+    random_marginal,
+    scaled_dense_log_perron,
+)
+
+FAMILIES = [(1, 2, 2), (2, 2, 3), (3, 2, 4), (2, 3, 2), (2, 3, 3), (3, 3, 3),
+            (2, 4, 2), (3, 4, 3), (3, 4, 4)]
+BETAS = (1.0, 64.0, 4096.0, 2.0**14)
+
+
+def random_family(seed=300, per_family=2):
+    rng = np.random.default_rng(seed)
+    return [random_cost(rng, *family) for family in FAMILIES for _ in range(per_family)]
+
+
+def scaled(cost, beta):
+    return CostTensor(cost.values * beta, cost.alphabet_size, cost.depth)
+
+
+def eigen_spread(cost, log_h):
+    """Independent recomputation of the spread of ``T(log h) - log h``."""
+    ct = action_view(cost)
+    succ = successor_table(cost.alphabet_size, block_count(cost))
+    t = ct + log_h[succ][None, :, :]
+    mx = t.max(axis=(0, 2))
+    diff = mx + np.log(np.exp(t - mx[None, :, None]).sum(axis=(0, 2))) - log_h
+    return float(diff.max() - diff.min())
+
+
+def test_log_perron_matches_dense_oracles_on_random_family():
+    for cost in random_family():
+        for beta in BETAS:
+            c = scaled(cost, beta)
+            log_lam, u, spread, _ = log_perron(c)
+            ref_log_lam, _ = scaled_dense_log_perron(c)
+            assert log_lam == pytest.approx(ref_log_lam, abs=1e-10 * max(1.0, abs(ref_log_lam)))
+            scale = max(1.0, float(np.abs(c.values).max()), float(np.abs(u).max()))
+            assert eigen_spread(c, u) <= max(1e-13, 3e-14 * scale)
+            assert spread <= max(1e-13, 3e-14 * scale)
+            if beta == 1.0:
+                sol = perron_solve(assemble_transfer(c))
+                assert log_lam == pytest.approx(math.log(sol.lam), abs=1e-12)
+                assert np.abs(np.exp(u) - sol.h).max() <= 1e-10 * sol.h.max()
+
+
+def test_gibbs_chain_is_stationary_on_random_family():
+    for cost in random_family():
+        for beta in BETAS:
+            measure = gibbs_measure(normalize_cost(scaled(cost, beta)))
+            assert np.abs(measure.q @ measure.p - measure.p).max() <= 1e-12
+            assert measure.p.sum() == pytest.approx(1.0, abs=1e-12)
+            assert (measure.p >= 0.0).all()
+
+
+def test_sparse_and_dense_solves_agree(monkeypatch):
+    rng = np.random.default_rng(301)
+    cost = scaled(random_cost(rng, 2, 2, 10), 64.0)  # 512 blocks
+    solve = transfer._bordered_solve
+    solved = []
+
+    def counting_solve(*args, **kwargs):
+        solved.append(kwargs.get("transpose", False))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "_bordered_solve", counting_solve)
+    results = []
+    for cap in (1024, 256):
+        monkeypatch.setattr(transfer, "DENSE_SOLVE_MAX", cap)
+        solved.clear()
+        log_lam, u, _, _ = log_perron(cost)
+        measure = gibbs_measure(normalize_cost(cost))
+        assert solved.count(False) >= 2 and solved.count(True) == 1  # Newton ran
+        results.append((log_lam, u, measure.p))
+    (l1, u1, p1), (l2, u2, p2) = results
+    assert l1 == pytest.approx(l2, abs=1e-12 * max(1.0, abs(l1)))
+    assert np.abs(u1 - u2).max() <= 1e-9 * max(1.0, float(np.abs(u1).max()))
+    assert np.abs(p1 - p2).max() <= 1e-12
+
+
+def test_no_dense_eig_lstsq_or_fractions_on_the_solver_path(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense eig, lstsq or Fraction arithmetic ran")
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    monkeypatch.setattr(np.linalg, "lstsq", forbidden)
+    monkeypatch.setattr("ergotrans._tropical.Fraction", forbidden)
+    for cost in random_family(seed=304, per_family=1):
+        for beta in BETAS:
+            gibbs_measure(normalize_cost(scaled(cost, beta)))
+
+
+def test_sparse_solve_builds_no_dense_chain():
+    rng = np.random.default_rng(302)
+    cost = scaled(random_cost(rng, 2, 2, 13), 64.0)  # 4096 blocks
+    n = block_count(cost)
+    tracemalloc.start()
+    try:
+        normalized = normalize_cost(cost)
+        ct = action_view(normalized.cost)
+        weights = np.exp(ct).sum(axis=0)
+        transfer._stationary(weights / weights.sum(axis=1)[:, None],
+                             successor_table(2, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 8
+
+
+@pytest.mark.parametrize("cap", [128, 0], ids=["dense", "sparse"])
+def test_stationary_vector_keeps_escapes_below_machine_epsilon(monkeypatch, cap):
+    # self-loops with escape probabilities 1e-20 and 3e-20: P[b, b] rounds to
+    # 1, so P[b, b] - 1 would cancel to 0; p is (3, 1) / 4 exactly
+    monkeypatch.setattr(transfer, "DENSE_SOLVE_MAX", cap)
+    values = np.log([[1.0, 1e-20, 3e-20, 1.0]])
+    measure = gibbs_measure(normalize_cost(CostTensor(values, 2, 2)))
+    assert np.abs(measure.p - [0.75, 0.25]).max() <= 1e-12
+
+
+def test_singular_dense_solve_raises_convergence_error():
+    succ = successor_table(2, 2)
+    identity_chain = np.array([[1.0, 0.0], [0.0, 1.0]])  # two closed classes
+    with pytest.raises(ConvergenceError, match="Singular matrix") as info:
+        transfer._stationary(identity_chain, succ)
+    assert info.value.residual == 1.0
+
+
+def test_log_gth_matches_bordered_solve_and_underflowed_escapes():
+    rng = np.random.default_rng(305)
+    for d, n in ((2, 2), (2, 16), (3, 27), (4, 64)):
+        succ = successor_table(d, n)
+        weights = rng.uniform(0.05, 1.0, size=(n, d))
+        weights /= weights.sum(axis=1)[:, None]
+        p_gth = transfer._log_gth_stationary(np.log(weights), succ)
+        assert np.abs(p_gth - transfer._stationary(weights, succ)).max() <= 1e-13
+    # escapes exp(-1000) and exp(-1100) underflow; p is proportional to the
+    # opposite escape: (exp(-1100), exp(-1000)), normalized
+    log_w = np.array([[0.0, -1000.0], [-1100.0, 0.0]])
+    p = transfer._log_gth_stationary(log_w, successor_table(2, 2))
+    assert p[0] == pytest.approx(math.exp(-100.0), rel=1e-12)
+    assert p[1] == 1.0
+
+
+def test_howard_agrees_with_karp():
+    rng = np.random.default_rng(303)
+    for _ in range(200):
+        d = int(rng.integers(2, 4))
+        n = d ** int(rng.integers(1, 5))
+        weights = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 4)
+        succ = successor_table(d, n)
+        mean, bias = howard_policy_iteration(weights, succ)
+        exact, _ = karp_cycle_mean(weights, succ)
+        assert mean == pytest.approx(float(exact), abs=1e-12 * max(1.0, abs(mean)))
+        bellman = (weights + bias[succ]).max(axis=1) - mean - bias
+        assert np.abs(bellman).max() <= 1e-9 * max(1.0, float(np.abs(weights).max()))
+
+
+def test_howard_separates_loops_a_few_ulps_apart():
+    # two self-loops at scale 1.6e4, means 1.4e-8 apart: far below a 1e-12
+    # relative tie tolerance, far above the ulp of the weights
+    d, n = 2, 4
+    succ = successor_table(d, n)  # self-loops at block 0 (a=0) and block 3 (a=1)
+    weights = np.full((n, d), -3.0e4)
+    weights[0, 0] = 1.6e4
+    weights[3, 1] = 1.6e4 + 1.4e-8
+    weights[0, 1] = weights[1, 1] = weights[2, 1] = 0.0
+    mean, bias = howard_policy_iteration(weights, succ)
+    assert mean == float(karp_cycle_mean(weights, succ)[0])
+    bellman = (weights + bias[succ]).max(axis=1) - mean - bias
+    assert np.abs(bellman).max() <= 1e-10
+
+
+def test_regression_criterion8_draws_6_and_7():
+    # drawn as in acceptance criterion 8; Newton started from a power iterate
+    # stalls the dual solve on these two nearly reducible scaled costs
+    rng = np.random.default_rng(107)
+    draws = [(random_cost(rng, 2, 2, 2), random_marginal(rng, 2)) for _ in range(8)]
+    beta_max = 2**14
+    window = 2.0 * math.log(4.0) / beta_max + 1e-9
+    for cost, mu in draws[6:8]:
+        out = zero_temp_constrained(cost, mu, default_beta_grid(beta_max))
+        assert out.feasibility_residual <= 1e-9
+        assert out.support_equality_residual <= out.slack_tolerance
+        assert abs(out.value - primal_lp_oracle(cost, mu).value) <= window
+
+
+def test_regression_seed106_single_x_three_symbols():
+    # drawn as in acceptance criterion 7; at beta = 4096 these (1, 3, 2)
+    # costs admit policies with several closed classes, so P - I is singular
+    # at a power iterate
+    rng = np.random.default_rng(106)
+    picked = []
+    for i in range(7):
+        num_x = int(rng.integers(1, 3))
+        d = int(rng.integers(2, 4))
+        depth = 2 if d == 3 else int(rng.integers(2, 5))
+        cost = random_cost(rng, num_x, d, depth)
+        if i >= 4:
+            assert (num_x, d, depth) == (1, 3, 2)
+            picked.append(cost)
+    for cost in picked:
+        for beta in (64.0, 4096.0):
+            c = scaled(cost, beta)
+            log_lam, u, _, _ = log_perron(c)
+            ref_log_lam, _ = scaled_dense_log_perron(c)
+            assert log_lam == pytest.approx(ref_log_lam, abs=1e-10 * max(1.0, abs(ref_log_lam)))
+            scale = max(1.0, float(np.abs(c.values).max()), float(np.abs(u).max()))
+            assert eigen_spread(c, u) <= max(1e-13, 3e-14 * scale)
+
+
+def test_survey_d3_families_certify_on_the_whole_grid():
+    # the ROADMAP robustness survey draws; its d=3 families used to fail in
+    # log_perron ("did not certify") at beta_max as low as 4-8
+    grid = default_beta_grid()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for num_x, d, m in ((2, 2, 2), (2, 3, 2), (2, 3, 3), (3, 2, 3)):
+            cost = CostTensor(rng.normal(size=(num_x, d**m)), d, m)
+            rng.uniform(0.2, 1.0, size=num_x)  # the survey's mu draw
+            if d != 3:
+                continue
+            m_exact = karp_value(maxplus_lift(cost))
+            for beta in grid:
+                log_lam, _, _, _ = log_perron(scaled(cost, beta))
+                slack = 1e-12 * max(1.0, abs(beta * m_exact))
+                assert beta * m_exact - slack <= log_lam
+                assert log_lam <= beta * m_exact + math.log(num_x * d) + slack
+
+
+def test_import_of_cli_leaves_scipy_unloaded():
+    code = "import sys, ergotrans.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    assert done.stdout.strip() == "False"

@@ -6,19 +6,25 @@ import pytest
 from ergotrans.errors import SpecValidationError
 from ergotrans.symbolic import CostTensor, decode_word, encode_word
 from ergotrans.transfer import (
-    assemble_transfer,
     gibbs_measure,
     log_perron,
     markov_entropy_rate,
     normalize_cost,
     nu_cylinder,
     nu_cylinder_table,
-    perron_solve,
     pressure,
-    stationary_vector,
 )
 
-from conftest import REF_H, REF_LAMBDA, random_cost
+from conftest import (
+    REF_H,
+    REF_LAMBDA,
+    assemble_transfer,
+    normalize_with_solution,
+    perron_solve,
+    random_cost,
+    random_markov_measure,
+    stationary_vector,
+)
 
 
 def naive_transfer_matrix(cost):
@@ -148,7 +154,7 @@ def test_normalize_rejects_bad_eigendata(two_state_cost):
     sol = perron_solve(tm)
     bad = type(sol)(sol.lam, sol.h, sol.left, 1.0, sol.gap_estimate, sol.iterations)
     with pytest.raises(SpecValidationError):
-        normalize_cost(two_state_cost, bad)
+        normalize_with_solution(two_state_cost, bad)
 
 
 def test_pressure_two_state(two_state_cost):
@@ -251,6 +257,23 @@ def test_markov_entropy_rate_uniform():
 
     measure = uniform_bernoulli_measure(3, 1)
     assert markov_entropy_rate(measure) == pytest.approx(math.log(3.0), abs=1e-13)
+
+
+def test_markov_entropy_rate_matches_dense_sum_exactly():
+    """The sparse sum adds each column's terms in the dense column-sum order."""
+    from ergotrans.plans import periodic_orbit_measure
+
+    def dense(measure):
+        q = measure.q
+        terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
+        return float(-(terms.sum(axis=0) * measure.p).sum())
+
+    rng = np.random.default_rng(31)
+    measures = [random_markov_measure(rng, d, k) for d, k in ((2, 1), (2, 6), (3, 3), (4, 2))]
+    measures += [gibbs_measure(normalize_cost(random_cost(rng, 2, 2, 8)))]
+    measures += [periodic_orbit_measure(w, 3, 2) for w in ([0, 1], [1, 2, 0, 2])]
+    for measure in measures:
+        assert markov_entropy_rate(measure) == dense(measure)
 
 
 def test_log_perron_agrees_with_linear(two_state_cost):
