@@ -3,14 +3,23 @@
 The constrained problem (x-marginal pinned to mu) reduces to minimizing
 the smooth convex functional
 
-    F(phi) = -integral(phi, mu) + P(c + phi),
+    F(phi) = -integral(phi, mu) + P(c + phi).
 
-whose unique minimizer, after the zero-pressure gauge shift
-``phi_tilde = -phi_hat + P(c + phi_hat)``, satisfies
-``P(c - phi_tilde) = 0`` and ``integral(phi_tilde, mu)`` equals the
-constrained pressure.  The maximizing plan is the Gibbs plan of
-``c - phi_tilde``; optimality is certified a posteriori through the
-pressure, marginal and duality-gap residuals.
+One normalization of ``c + phi`` gives ``F``, its gradient (the
+equilibrium x-marginal minus mu) and its exact Hessian, the asymptotic
+covariance of the x-indicators under the Gibbs plan,
+
+    H = diag(marg) - marg marg^T + C + C^T,
+    C[x, y] = E[(1{x} - marg_x) h_y(succ)],
+
+where ``h_y`` solves the Poisson equation ``(I - P) h_y = sum_a J(y, a|.)
+- marg_y`` of the Gibbs block chain (one bordered solve for every y).
+After the zero-pressure gauge shift ``phi_tilde = -phi_hat + P(c +
+phi_hat)`` the minimizer satisfies ``P(c - phi_tilde) = 0`` and
+``integral(phi_tilde, mu)`` equals the constrained pressure.  The
+maximizing plan is the Gibbs plan of ``c - phi_tilde``; optimality is
+certified a posteriori through the pressure, marginal and duality-gap
+residuals.
 """
 
 from __future__ import annotations
@@ -25,9 +34,10 @@ from .symbolic import CostTensor, Marginal
 from .transfer import (
     action_view,
     effective_cost,
+    gibbs_chain,
     log_perron,
     normalize_cost,
-    pressure,
+    poisson_solve,
 )
 
 __all__ = [
@@ -45,7 +55,16 @@ __all__ = [
 PRESSURE_RESIDUAL_TOL = 1e-9
 MARGINAL_RESIDUAL_TOL = 1e-7
 GRAD_TOL = 1e-10
+# first trial of a line search moves the potential by at most this much; on
+# strongly scaled costs the flanks of F are nearly flat, so an uncapped
+# Newton step lands far across the kink
 _STEP_CAP = 8.0
+# a trial step is accepted once the directional derivative has shrunk to
+# this fraction of its value at the start of the line
+_SLOPE_FRACTION = 0.5
+# F is coercive on the slice, so a line search that finds no sign change of
+# the directional derivative within this move has met a broken evaluation
+_MAX_MOVE = 1e9
 
 
 def shift_cost(cost, phi):
@@ -58,6 +77,34 @@ def shift_cost(cost, phi):
     return CostTensor(cost.values + phi[:, None], cost.alphabet_size, cost.depth)
 
 
+class _Evaluation:
+    """``F``, its gradient and its exact Hessian at one x-potential.
+
+    One ``normalize_cost`` of ``c + phi`` and its Gibbs chain give ``F``
+    and the gradient; the Hessian costs one more (Poisson) solve on the
+    same chain.
+    """
+
+    def __init__(self, cost, phi, mu_w):
+        self.phi = phi
+        self.normalized = normalize_cost(shift_cost(cost, phi))
+        self.value = float(-(mu_w * phi).sum() + self.normalized.log_lambda)
+        self._weights, self._succ, p = gibbs_chain(self.normalized)
+        jac = np.exp(action_view(self.normalized.cost))  # J(x, a | b) at [x, b, a]
+        self._jac = jac / jac.sum(axis=(0, 2))[None, :, None]
+        self._mass = self._jac * p[None, :, None]
+        self._marg = self._mass.sum(axis=(1, 2))
+        self.grad = self._marg - mu_w
+        self.residual = float(np.abs(self.grad).max())
+
+    def hessian(self):
+        marg, k = self._marg, self._marg.size
+        h = poisson_solve(self._weights, self._succ, self._jac.sum(axis=2).T - marg)  # h[b, y]
+        cross = self._mass.reshape(k, -1) @ h[self._succ].reshape(-1, k)
+        cov = cross - marg[:, None] * cross.sum(axis=0)[None, :]
+        return np.diag(marg) - np.outer(marg, marg) + cov + cov.T
+
+
 def dual_objective(cost, phi, mu):
     """``F(phi) = -integral(phi, mu) + P(c + phi)``.
 
@@ -65,16 +112,13 @@ def dual_objective(cost, phi, mu):
     the gauge slice, which is what makes the minimization well posed.
     """
     mu_w = mu.weights if isinstance(mu, Marginal) else np.asarray(mu, float)
-    phi = np.asarray(phi, dtype=float)
-    return float(-(mu_w * phi).sum() + pressure(shift_cost(cost, phi)))
+    return _Evaluation(cost, np.asarray(phi, dtype=float), mu_w).value
 
 
 def dual_gradient(cost, phi, mu):
     """Gradient of F: the equilibrium x-marginal of ``c + phi`` minus mu."""
     mu_w = mu.weights if isinstance(mu, Marginal) else np.asarray(mu, float)
-    normalized = normalize_cost(shift_cost(cost, phi))
-    plan = gibbs_plan(normalized)
-    return marginal_x(plan) - mu_w
+    return _Evaluation(cost, np.asarray(phi, dtype=float), mu_w).grad
 
 
 @dataclass(frozen=True)
@@ -95,19 +139,22 @@ class DualSolution:
     iterations: int
 
 
-def _certify(cost, phi_tilde, mu, value, iterations,
-             pressure_tol, marginal_tol):
-    shifted = shift_cost(cost, -phi_tilde)
-    log_lam, psi, _, _ = log_perron(shifted)
-    plan = gibbs_plan(normalize_cost(shifted))
-    marg = marginal_x(plan)
-    mu_w = mu.weights
+def _certify(cost, point, mu, iterations, pressure_tol, marginal_tol):
+    """Certify the solver's last evaluation of ``c + phi``.
+
+    The Gibbs plan does not depend on the gauge, so the marginal and the
+    duality gap come from the plan the solver evaluated; only the pressure
+    residual and ``psi`` are taken at ``c - phi_tilde``.
+    """
+    phi_tilde = point.normalized.log_lambda - point.phi
+    log_lam, psi, _, _ = log_perron(shift_cost(cost, -phi_tilde))
+    plan = gibbs_plan(point.normalized)
     pressure_residual = abs(log_lam)
-    marginal_residual = float(np.abs(marg - mu_w).max())
-    duality_gap = abs(value - (integrate_cost(plan, cost) + entropy(plan)))
+    marginal_residual = float(np.abs(marginal_x(plan) - mu.weights).max())
+    duality_gap = abs(point.value - (integrate_cost(plan, cost) + entropy(plan)))
     solution = DualSolution(
         phi_tilde=phi_tilde,
-        value=float(value),
+        value=point.value,
         psi=psi,
         pressure_residual=float(pressure_residual),
         marginal_residual=marginal_residual,
@@ -134,11 +181,15 @@ def solve_dual(cost, mu, grad_tol=GRAD_TOL, max_iter=500, v0=None,
                allow_resolution_stall=False):
     """Minimize F on the gauge slice phi(0) = 0 and certify the minimizer.
 
-    With two x-values the slice gradient is a monotone scalar function and
-    the minimizer is found by safeguarded root bracketing; otherwise
-    gradient descent with Armijo backtracking globalizes and a damped
-    Newton step (finite-difference Hessian) polishes.  The returned
-    solution carries the zero-pressure gauge.
+    One Newton loop serves every #X (for #X = 1 the gradient is
+    identically 0).  Each iteration evaluates F, its gradient and its
+    exact Hessian once, takes the Newton step on the slice (a gradient
+    step where the Newton step is non-finite, not a descent direction or
+    too small to move the potential), and brackets the step length on the
+    sign of the directional derivative, which is monotone because F is
+    convex.  Values of F are never compared: on strongly scaled costs
+    they drown in float noise.  The returned solution carries the
+    zero-pressure gauge; ``iterations`` counts Newton steps.
 
     Parameters
     ----------
@@ -147,22 +198,24 @@ def solve_dual(cost, mu, grad_tol=GRAD_TOL, max_iter=500, v0=None,
         Full-support x-marginal (full support gives coercivity).
     grad_tol : float
         Sup-norm tolerance on the full marginal gradient.
+    max_iter : int
+        Cap on Newton iterations.
     v0 : array, optional
         Warm start for the free components phi(1), ..., phi(k).
     allow_resolution_stall : bool
         On strongly scaled costs the constrained marginal can sweep its
         whole range across a potential window narrower than one float ulp,
-        making small gradients unrepresentable.  With this flag a certified
-        resolution stall (bracket collapsed to adjacent floats, or gradient
-        below 1e-3 on the multi-x path) is accepted and the marginal
-        tolerance relaxed to the stalled level; the objective value is
-        still accurate to roughly gradient * bracket width.
+        making small gradients unrepresentable.  With this flag a true
+        pin is accepted: the line bracket collapsed to adjacent floats and
+        the slice gradient at both ends is parallel to the line (always so
+        for #X = 2).  The marginal tolerance is then relaxed to the
+        measured jump, the larger gradient at the two ends.
 
     Raises
     ------
     ConvergenceError
-        Iteration cap exceeded, or a stall above tolerance without
-        ``allow_resolution_stall``.
+        Iteration cap exceeded, a collapsed bracket that is no true pin,
+        or a true pin above tolerance without ``allow_resolution_stall``.
     CertificateError
         Residuals above tolerance; the solution is attached.
     """
@@ -173,233 +226,116 @@ def solve_dual(cost, mu, grad_tol=GRAD_TOL, max_iter=500, v0=None,
         raise SpecValidationError(
             f"mu has {mu.size} entries, cost has {cost.num_x} x-rows"
         )
-    k = cost.num_x - 1
-
-    def embed(v):
-        return np.concatenate(([0.0], v))
-
-    if k == 0:
-        value = pressure(cost)
-        return _certify(cost, np.array([value]), mu, value, 0,
-                        pressure_tol, marginal_tol)
-
-    v = np.zeros(k) if v0 is None else np.asarray(v0, dtype=float).copy()
-
-    if k == 1:
-        # one free component: the slice gradient is a monotone scalar
-        # function of v, so safeguarded root finding is unconditionally
-        # convergent no matter how sharp the transition is
-        v, g_norm, iterations, pinned = _solve_monotone_1d(
-            cost, mu, float(v[0]), grad_tol, max_iter
-        )
-        v = np.array([v])
-        if g_norm > grad_tol:
-            # a collapsed bracket pins the minimizer between adjacent
-            # floats: the value is certified even when the marginal jumps
-            if not (allow_resolution_stall and pinned):
-                raise ConvergenceError(
-                    f"dual solve stalled with gradient {g_norm:.3e}",
-                    residual=g_norm,
-                    iterations=iterations,
-                )
-            marginal_tol = max(marginal_tol, 2.0 * cost.num_x * g_norm)
-        v_full = embed(v)
-        log_lam = pressure(shift_cost(cost, v_full))
-        phi_tilde = -v_full + log_lam
-        value = float(-(mu.weights * v_full).sum() + log_lam)
-        return _certify(cost, phi_tilde, mu, value, iterations,
-                        pressure_tol, marginal_tol)
-
-    f_v = dual_objective(cost, embed(v), mu)
-    t_mem = 1.0
+    v = np.zeros(cost.num_x - 1) if v0 is None else np.asarray(v0, dtype=float)
+    point = _Evaluation(cost, np.concatenate(([0.0], v)), mu.weights)
     iterations = 0
-
-    # globalization phase: descent with Armijo backtracking on F until the
-    # gradient is small enough for the Newton polish to take over
-    polish_entry = max(1e-5, 10.0 * grad_tol)
-    for _ in range(max_iter):
-        grad_full = dual_gradient(cost, embed(v), mu)
-        if np.abs(grad_full).max() <= polish_entry:
-            break
-        iterations += 1
-        g = grad_full[1:]
-        step = None
-        if np.abs(grad_full).max() <= 1.0:
-            step = _newton_direction(cost, mu, v, g, embed)
-        if step is None:
-            step = g
-            t0 = min(4.0 * t_mem, 1e4)
-        else:
-            t0 = 1.0
-        slope = float(g @ step)
-        if slope <= 0.0:
-            step, slope, t0 = g, float(g @ g), min(4.0 * t_mem, 1e4)
-        # cap the move: on strongly scaled costs the flanks of the objective
-        # are nearly flat and an uncapped Newton step hops across the kink
-        size = float(np.abs(step).max()) * t0
-        if size > _STEP_CAP:
-            shrink = _STEP_CAP / size
-            step = step * shrink
-            slope *= shrink
-        t = t0
-        accepted = False
-        moved = False
-        for _ in range(80):
-            trial = v - t * step
-            f_trial = dual_objective(cost, embed(trial), mu)
-            if f_trial <= f_v - 1e-4 * t * slope:
-                moved = not np.array_equal(trial, v)
-                v, f_v, accepted = trial, f_trial, True
-                t_mem = t
-                break
-            t *= 0.5
-        if not accepted or not moved:
-            break  # below the resolution of F or of v: hand over to the polish
-    else:
-        grad_full = dual_gradient(cost, embed(v), mu)
-        raise ConvergenceError(
-            f"dual solve exhausted {max_iter} iterations "
-            f"(gradient {np.abs(grad_full).max():.3e})",
-            residual=float(np.abs(grad_full).max()),
-            iterations=max_iter,
-        )
-
-    # polish phase: damped Newton accepted on gradient decrease alone;
-    # F comparisons near the minimum drown in the float resolution of F
-    # when the cost is strongly scaled, the gradient does not
-    grad_full = dual_gradient(cost, embed(v), mu)
-    g_norm = float(np.abs(grad_full).max())
-    for _ in range(40):
-        if g_norm <= grad_tol:
-            break
-        iterations += 1
-        g = grad_full[1:]
-        step = _newton_direction(cost, mu, v, g, embed)
-        if step is None:
-            step = g
-        size = float(np.abs(step).max())
-        if size > _STEP_CAP:
-            step = step * (_STEP_CAP / size)
-        t = 1.0
-        improved = False
-        for _ in range(25):
-            trial = v - t * step
-            trial_grad = dual_gradient(cost, embed(trial), mu)
-            trial_norm = float(np.abs(trial_grad).max())
-            if trial_norm <= max(0.9 * g_norm, grad_tol):
-                v, grad_full, g_norm = trial, trial_grad, trial_norm
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    if g_norm > grad_tol:
-        if not (allow_resolution_stall and g_norm <= 1e-3):
+    while point.residual > grad_tol and point.grad[1:].any():
+        if iterations == max_iter:
             raise ConvergenceError(
-                f"dual solve stalled with gradient {g_norm:.3e}",
-                residual=g_norm,
+                f"dual solve exhausted {max_iter} iterations "
+                f"(gradient {point.residual:.3e})",
+                residual=point.residual,
+                iterations=max_iter,
+            )
+        iterations += 1
+        step = _newton_step(point)
+        point, pin = _line_search(cost, mu.weights, point, step, grad_tol)
+        if pin is None or point.residual <= grad_tol:
+            continue
+        jump = max(end.residual for end in pin)
+        true_pin = all(_parallel(end.grad[1:], step, grad_tol) for end in pin)
+        if not (allow_resolution_stall and true_pin):
+            kind = "pinned" if true_pin else "pinned off the line minimum"
+            raise ConvergenceError(
+                f"dual solve {kind} between adjacent floats "
+                f"with gradient {jump:.3e}",
+                residual=jump,
                 iterations=iterations,
             )
-        marginal_tol = max(marginal_tol, 2.0 * cost.num_x * g_norm)
-    v_full = embed(v)
-    log_lam = pressure(shift_cost(cost, v_full))
-    phi_tilde = -v_full + log_lam
-    value = float(-(mu.weights * v_full).sum() + log_lam)
-    return _certify(cost, phi_tilde, mu, value, iterations,
-                    pressure_tol, marginal_tol)
+        marginal_tol = max(marginal_tol, jump)
+        break
+    return _certify(cost, point, mu, iterations, pressure_tol, marginal_tol)
 
 
-def _solve_monotone_1d(cost, mu, v_init, grad_tol, max_iter):
-    """Root of the monotone scalar slice gradient by bracketing.
+def _newton_step(point):
+    """Newton step on the slice, or a gradient step where it is unusable.
 
-    Bisection with a guarded secant accelerator.  Terminates either below
-    tolerance or when the bracket collapses to adjacent floats (the root
-    lies between representable values; the best endpoint is returned with
-    ``pinned=True``, certifying the objective value to gradient * ulp).
+    At large beta the Poisson solve can return finite but absurd values,
+    so the Newton step is dropped when it is non-finite or not a descent
+    direction; the fallback is the gradient scaled to a unit move.  A
+    Newton step too small to move the potential at all puts the minimizer
+    within float resolution: the fallback then starts at a one-ulp move.
     """
-    def grad(v):
-        full = dual_gradient(cost, np.array([0.0, v]), mu)
-        return float(full[1])
-
-    evals = 0
-
-    def g_of(v):
-        nonlocal evals
-        evals += 1
-        return grad(v)
-
-    g0 = g_of(v_init)
-    if abs(g0) <= grad_tol:
-        return v_init, abs(g0), evals, False
-    width = 1.0
-    if g0 > 0:
-        hi, g_hi = v_init, g0
-        lo = v_init - width
-        g_lo = g_of(lo)
-        while g_lo > 0:
-            width *= 2.0
-            if width > 1e9:
-                raise ConvergenceError("bracket expansion failed", residual=g_lo)
-            hi, g_hi = lo, g_lo
-            lo = lo - width
-            g_lo = g_of(lo)
-    else:
-        lo, g_lo = v_init, g0
-        hi = v_init + width
-        g_hi = g_of(hi)
-        while g_hi < 0:
-            width *= 2.0
-            if width > 1e9:
-                raise ConvergenceError("bracket expansion failed", residual=g_hi)
-            lo, g_lo = hi, g_hi
-            hi = hi + width
-            g_hi = g_of(hi)
-    if abs(g_lo) <= grad_tol:
-        return lo, abs(g_lo), evals, False
-    if abs(g_hi) <= grad_tol:
-        return hi, abs(g_hi), evals, False
-
-    best_v, best_g = (lo, g_lo) if abs(g_lo) < abs(g_hi) else (hi, g_hi)
-    for _ in range(max_iter):
-        span = hi - lo
-        if span <= 4.0 * np.spacing(max(abs(lo), abs(hi), 1.0)):
-            return best_v, abs(best_g), evals, True
-        mid = 0.5 * (lo + hi)
-        if g_hi > g_lo:
-            secant = hi - g_hi * span / (g_hi - g_lo)
-            # on a bracket under about 100 ulps wide the 1 % guard rounds
-            # onto an endpoint, and a secant point there makes no progress
-            if lo + 0.01 * span <= secant <= hi - 0.01 * span and lo < secant < hi:
-                mid = secant
-        g_mid = g_of(mid)
-        if abs(g_mid) < abs(best_g):
-            best_v, best_g = mid, g_mid
-        if abs(g_mid) <= grad_tol:
-            return mid, abs(g_mid), evals, False
-        if g_mid > 0:
-            hi, g_hi = mid, g_mid
-        else:
-            lo, g_lo = mid, g_mid
-    return best_v, abs(best_g), evals, False
-
-
-def _newton_direction(cost, mu, v, g, embed, fd_step=1e-6):
-    """Damped Newton direction from a finite-difference Hessian, or None."""
-    k = v.size
-    h = np.empty((k, k))
-    scale = fd_step * max(1.0, float(np.abs(v).max()))
-    for j in range(k):
-        pert = v.copy()
-        pert[j] += scale
-        h[:, j] = (dual_gradient(cost, embed(pert), mu)[1:] - g) / scale
-    h = 0.5 * (h + h.T)
+    g = point.grad[1:]
     try:
-        step = np.linalg.solve(h + 1e-12 * np.eye(k), g)
-    except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(step).all():
-        return None
+        step = np.linalg.solve(point.hessian()[1:, 1:], g)
+    except (np.linalg.LinAlgError, ConvergenceError):
+        step = None
+    if step is None or not np.isfinite(step).all() or g @ step <= 0.0:
+        return g / np.abs(g).max()
+    v = point.phi[1:]
+    if np.array_equal(v - step, v):
+        return g * (np.spacing(np.abs(v).max()) / np.abs(g).max())
     return step
+
+
+def _parallel(g, step, tol):
+    """Whether the part of ``g`` off the line ``step`` is below ``tol``."""
+    unit = step / np.abs(step).max()
+    unit /= np.linalg.norm(unit)
+    return float(np.abs(g - (g @ unit) * unit).max()) <= tol
+
+
+def _line_search(cost, mu_w, point, step, grad_tol):
+    """Move along ``-step`` to where the directional derivative changes sign.
+
+    ``s(t) = g(v - t*step) . step`` is nonincreasing in ``t`` because F is
+    convex.  The first trial is the full step (capped at ``_STEP_CAP``);
+    ``t`` doubles while ``s`` stays positive, then a guarded secant, or
+    bisection when the secant did not halve the bracket, narrows it.  A
+    trial is accepted once ``|s(t)| <= _SLOPE_FRACTION * s(0)`` or its
+    gradient is within ``grad_tol``.  Returns ``(point, None)``, or, when
+    the bracket has collapsed to adjacent floats, its endpoint with the
+    smaller gradient and the pair of endpoints.
+    """
+    v = point.phi[1:]
+
+    def at(t):
+        return np.concatenate(([0.0], v - t * step))
+
+    s0 = float(point.grad[1:] @ step)
+    reach = float(np.abs(step).max())
+    lo, s_lo, end_lo = 0.0, s0, point
+    hi = s_hi = end_hi = None
+    t = min(1.0, _STEP_CAP / reach)
+    width = np.inf
+    while True:
+        trial = _Evaluation(cost, at(t), mu_w)
+        s = float(trial.grad[1:] @ step)
+        if trial.residual <= grad_tol or abs(s) <= _SLOPE_FRACTION * s0:
+            return trial, None
+        if s > 0.0:
+            lo, s_lo, end_lo = t, s, trial
+        else:
+            hi, s_hi, end_hi = t, s, trial
+        if hi is None:
+            t *= 2.0
+            if t * reach > _MAX_MOVE:
+                raise ConvergenceError(
+                    "dual line search found no sign change of the slope",
+                    residual=trial.residual,
+                )
+            continue
+        previous, width = width, hi - lo
+        t = 0.5 * (lo + hi)
+        mid = at(t)
+        if np.array_equal(mid, end_lo.phi) or np.array_equal(mid, end_hi.phi):
+            pin = (end_lo, end_hi)
+            return min(pin, key=lambda end: end.residual), pin
+        if width <= 0.5 * previous:
+            secant = lo + s_lo * width / (s_lo - s_hi)
+            if lo + 0.01 * width < secant < hi - 0.01 * width:
+                t = secant
 
 
 def mu_pressure(cost, mu, **kwargs):
@@ -426,8 +362,9 @@ def slackness_certificate(cost, phi, mu):
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
     phi = np.asarray(phi, dtype=float)
-    log_lam, _, _, _ = log_perron(shift_cost(cost, -phi))
-    plan = gibbs_plan(normalize_cost(shift_cost(cost, -phi)))
+    normalized = normalize_cost(shift_cost(cost, -phi))
+    log_lam = normalized.log_lambda
+    plan = gibbs_plan(normalized)
     marg = marginal_x(plan)
     value = float((mu.weights * phi).sum())
     return {

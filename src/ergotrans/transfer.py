@@ -17,7 +17,9 @@ Everything works in the action layout ``ct[x, b, a] = c(x, a.b)`` with the
 and its dominant eigendata solve ``T(u) = u + log lambda``.  Linear algebra
 runs on the block chain ``P[b, succ(b, a)]`` that ``T`` induces at ``u``:
 a dense solve for small chains, a sparse LU built from ``succ`` above
-``DENSE_SOLVE_MAX`` blocks.  Markov measures keep the
+``DENSE_SOLVE_MAX`` blocks.  The stationary vector of the normalized
+chain and its Poisson equation are solves with the same bordered matrix
+(``gibbs_chain``, ``poisson_solve``).  Markov measures keep the
 measure-evolution orientation ``q[b', b]`` (rows successor states, columns
 current states), so ``q = P.T`` for the normalized chain.
 """
@@ -41,6 +43,8 @@ __all__ = [
     "successor_table",
     "normalize_cost",
     "pressure",
+    "gibbs_chain",
+    "poisson_solve",
     "gibbs_measure",
     "nu_cylinder_table",
     "nu_cylinder",
@@ -468,23 +472,21 @@ def _log_gth_stationary(log_w, succ):
     return np.exp(logp - np.logaddexp.reduce(logp))
 
 
-def gibbs_measure(normalized):
-    """Invariant measure of the normalized operator's dual (the block chain).
+def gibbs_chain(normalized):
+    """The normalized block chain: ``(weights, succ, p)``.
 
-    ``q[b', b] = sum_x exp(cbar(x, a.b))`` and ``p`` is its stationary
-    vector; for a normalized cost the chain is column-stochastic, so the
-    dual fixed point is exactly the stationary block-Markov measure.  A
-    chain that is reducible in floats (escape probabilities that underflow)
-    makes the bordered solve singular; up to ``DENSE_SOLVE_MAX`` blocks the
-    log-domain GTH reduction then gives ``p``, above it the failure stands.
+    ``weights[b, a] = sum_x exp(cbar(x, a.b))`` is the row-stochastic chain
+    ``P[b, succ[b, a]]`` and ``p`` its stationary vector.  A chain that is
+    reducible in floats (escape probabilities that underflow) makes the
+    bordered solve singular; up to ``DENSE_SOLVE_MAX`` blocks the log-domain
+    GTH reduction then gives ``p``, above it the failure stands.
     """
     cost = normalized.cost
-    d = cost.alphabet_size
     n_blocks = block_count(cost)
     ct = action_view(cost)
     weights = np.exp(ct).sum(axis=0)
     weights = weights / weights.sum(axis=1)[:, None]
-    succ = successor_table(d, n_blocks)
+    succ = successor_table(cost.alphabet_size, n_blocks)
     try:
         p = _stationary(weights, succ)
     except ConvergenceError:
@@ -495,9 +497,34 @@ def gibbs_measure(normalized):
         row_mx = log_w.max(axis=1)[:, None]
         log_w -= row_mx + np.log(np.exp(log_w - row_mx).sum(axis=1))[:, None]
         p = _log_gth_stationary(log_w, succ)
+    return weights, succ, p
+
+
+def poisson_solve(weights, succ, rhs):
+    """Solve the Poisson equation ``(I - P) h = rhs`` gauged by ``h(0) = 0``.
+
+    ``P[b, succ[b, a]] = weights[b, a]``; each column of ``rhs`` must have
+    zero mean under the stationary vector.  One bordered solve serves all
+    columns.
+    """
+    h = _bordered_solve(weights, succ, -rhs)
+    h[0] = 0.0
+    return h
+
+
+def gibbs_measure(normalized):
+    """Invariant measure of the normalized operator's dual (the block chain).
+
+    ``q[b', b] = sum_x exp(cbar(x, a.b))`` and ``p`` is its stationary
+    vector (``gibbs_chain``); for a normalized cost the chain is
+    column-stochastic, so the dual fixed point is exactly the stationary
+    block-Markov measure.
+    """
+    weights, succ, p = gibbs_chain(normalized)
+    n_blocks = p.size
     q = np.zeros((n_blocks, n_blocks))
     q[succ, np.arange(n_blocks)[:, None]] = weights
-    return MarkovMeasure(q, p, d)
+    return MarkovMeasure(q, p, normalized.alphabet_size)
 
 
 def nu_cylinder_table(measure, length):

@@ -172,10 +172,12 @@ def _check_sandwich(beta, log_lam, m, num_x, d):
     lo = beta * m
     hi = beta * m + np.log(num_x) + np.log(d)
     slack = 1e-12 * max(1.0, abs(lo), abs(log_lam))
-    if not (lo - slack <= log_lam <= hi + slack):
-        raise ArithmeticError(
+    violation = max(lo - log_lam, log_lam - hi)
+    if not violation <= slack:
+        raise ConvergenceError(
             f"spectral sandwich violated at beta={beta}: "
-            f"{lo} <= {log_lam} <= {hi} fails beyond arithmetic slack"
+            f"{lo} <= {log_lam} <= {hi} fails beyond arithmetic slack",
+            residual=violation,
         )
 
 

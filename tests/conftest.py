@@ -56,6 +56,22 @@ def random_marginal(rng, n):
     return Marginal(w / w.sum())
 
 
+# The robustness survey: for each seed one rng draws every family in this
+# order, a normal cost and then mu uniform(0.2, 1), normalized.
+SURVEY_FAMILIES = ((2, 2, 2), (2, 3, 2), (2, 3, 3), (3, 2, 3))
+
+
+def survey_draw(seed, family):
+    """The survey's ``(cost, mu)`` for one seed and family."""
+    rng = np.random.default_rng(seed)
+    for num_x, d, m in SURVEY_FAMILIES:
+        values = rng.normal(size=num_x * d**m).reshape(num_x, d**m)
+        mu = rng.uniform(0.2, 1.0, size=num_x)
+        if (num_x, d, m) == family:
+            return CostTensor(values, d, m), Marginal(mu / mu.sum())
+    raise ValueError(f"{family} is not a survey family")
+
+
 def random_markov_measure(rng, d, block_len):
     """Random fully supported block chain (admissible transitions only)."""
     n_blocks = d**block_len

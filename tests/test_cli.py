@@ -107,7 +107,9 @@ def test_mu_required_for_dual(capsys):
 
 
 def test_certificate_failure_exits_3_with_report(capsys):
-    code = main(["dual", "--spec", spec_path("zero_cost_mu.json"), "--tol-dual", "1e-15"])
+    # the solve stops at its gradient tolerance with a marginal residual of
+    # about 4e-12, which a 1e-15 marginal tolerance refuses
+    code = main(["dual", "--spec", spec_path("two_x_mu.json"), "--tol-dual", "1e-15"])
     assert code == 3
     report = json.loads(capsys.readouterr().out)
     assert "certificate_error" in report["results"]
@@ -167,4 +169,21 @@ def test_singular_sparse_chain_exits_3_without_traceback(tmp_path, capsys):
     assert main(["gibbs", "--spec", str(spec)]) == 3
     captured = capsys.readouterr()
     assert "solver failure" in captured.err and "singular" in captured.err.lower()
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_sandwich_violation_exits_3_without_traceback(monkeypatch, capsys):
+    from ergotrans import zerotemp
+
+    solve = zerotemp.log_perron
+
+    def off_bracket(cost, *args, **kwargs):
+        log_lam, u, residual, iterations = solve(cost, *args, **kwargs)
+        return log_lam + 10.0, u, residual, iterations
+
+    monkeypatch.setattr(zerotemp, "log_perron", off_bracket)
+    code = main(["zerotemp", "--spec", spec_path("two_state.json"), "--beta-max", "4"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "solver failure" in captured.err and "sandwich" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ergotrans.errors import CertificateError, SpecValidationError
+from ergotrans.errors import CertificateError, ConvergenceError, SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
-from ergotrans.transfer import pressure
+from ergotrans.transfer import normalize_cost, pressure
 from ergotrans.plans import entropy, integrate_cost, marginal_x, plan_mass_table
+from ergotrans import dual
 from ergotrans.dual import (
+    _Evaluation,
     constrained_equilibrium,
     dual_gradient,
     dual_objective,
@@ -19,7 +21,7 @@ from ergotrans.dual import (
 )
 from ergotrans.plans import equilibrium_plan
 
-from conftest import random_cost, random_marginal, scalar_entropy
+from conftest import random_cost, random_marginal, scalar_entropy, survey_draw
 
 
 def grid_minimize_objective(cost, mu, radius=8.0, rounds=4, points=41):
@@ -130,6 +132,28 @@ def test_gradient_vanishes_at_minimizer():
     assert np.abs(g).max() <= 1e-7
 
 
+def test_exact_hessian_matches_central_differences():
+    rng = np.random.default_rng(54)
+    for _ in range(10):
+        num_x = int(rng.integers(2, 5))
+        d = int(rng.integers(2, 4))
+        m = int(rng.integers(1, 4))
+        c = random_cost(rng, num_x, d, m)
+        mu = random_marginal(rng, num_x)
+        phi = rng.normal(size=num_x)
+        hess = _Evaluation(c, phi, mu.weights).hessian()
+        step = 1e-5
+        fd = np.empty((num_x, num_x))
+        for j in range(num_x):
+            e = np.zeros(num_x)
+            e[j] = step
+            fd[:, j] = (dual_gradient(c, phi + e, mu) - dual_gradient(c, phi - e, mu)) / (2 * step)
+        assert np.abs(hess - hess.T).max() <= 1e-14
+        assert np.abs(hess - fd).max() <= 1e-7 * max(np.abs(fd).max(), 1.0)
+        # the gauge direction is its null vector
+        assert np.abs(hess.sum(axis=1)).max() <= 1e-13
+
+
 # --- solver ----------------------------------------------------------------
 
 
@@ -166,6 +190,28 @@ def test_solve_dual_single_x_is_classical():
     assert cert["pressure_residual"] <= 1e-9
     assert cert["marginal_residual"] <= 1e-12
     assert cert["duality_gap"] <= 1e-9
+
+
+def test_solve_dual_one_evaluation_per_newton_step(monkeypatch):
+    # every eigensolve of the solve is one normalization; Newton with the
+    # exact Hessian takes its full step, so the evaluations stay close to
+    # the iterations
+    rng = np.random.default_rng(55)
+    counted = []
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return normalize_cost(*args, **kwargs)
+
+    monkeypatch.setattr(dual, "normalize_cost", counting)
+    for num_x in (1, 2, 3, 4):
+        c = random_cost(rng, num_x, 2, 3)
+        mu = random_marginal(rng, num_x)
+        counted.clear()
+        sol = solve_dual(c, mu)
+        assert sol.marginal_residual <= 1e-10
+        assert len(counted) <= 2 * sol.iterations + 2
+        assert sol.iterations <= 8
 
 
 def test_solve_dual_value_matches_grid_oracle():
@@ -314,3 +360,44 @@ def test_curve_conditions_dimension_guard():
     c = CostTensor(np.zeros((3, 4)), 2, 2)
     with pytest.raises(SpecValidationError):
         eigencurve_conditions(c, np.zeros(3), Marginal([0.3, 0.3, 0.4]))
+
+
+# --- resolution stalls ------------------------------------------------------
+
+
+def _slice_gradient(cost, mu, v):
+    return float(dual_gradient(cost, np.array([0.0, v]), mu)[1])
+
+
+def test_resolution_stall_returns_a_point_at_the_sign_change():
+    # survey draw (2, 3, 3), seed 2, at beta = 32: the slice gradient jumps
+    # from about -0.32 to +0.63 between adjacent floats.  A stall must
+    # return an end of the collapsed bracket, not the point of smallest
+    # gradient seen on the way, which on a saturated flank can lie far off.
+    cost, mu = survey_draw(2, (2, 3, 3))
+    beta = 32.0
+    scaled = CostTensor(cost.values * beta, cost.alphabet_size, cost.depth)
+    sol = solve_dual(scaled, mu, v0=np.array([0.8 * beta]), allow_resolution_stall=True)
+    v = sol.phi_tilde[0] - sol.phi_tilde[1]
+    points = [v]
+    for _ in range(4):
+        points.insert(0, np.nextafter(points[0], -np.inf))
+        points.append(np.nextafter(points[-1], np.inf))
+    signs = [np.sign(_slice_gradient(scaled, mu, p)) for p in points]
+    assert any(a != b for a, b in zip(signs, signs[1:]))
+    assert abs(sol.value / beta - 2.096287711) <= 1e-9
+    # the relaxed tolerance is the measured jump at the collapsed bracket
+    assert 0.1 <= sol.marginal_residual <= 1.0
+    with pytest.raises(ConvergenceError, match="pinned"):
+        solve_dual(scaled, mu, v0=np.array([0.8 * beta]))
+
+
+def test_pin_off_the_line_minimum_raises_on_three_x_values():
+    # survey draw (3, 2, 3), seed 0: a line bracket collapses while the slice
+    # gradient keeps a component off the line.  Relaxing the tolerance there
+    # certified a value outside the zero-temperature LP window.
+    from ergotrans.zerotemp import zero_temp_constrained
+
+    cost, mu = survey_draw(0, (3, 2, 3))
+    with pytest.raises(ConvergenceError, match="off the line minimum"):
+        zero_temp_constrained(cost, mu)

@@ -20,7 +20,7 @@ from ergotrans.zerotemp import (
     zero_temp_unconstrained,
 )
 
-from conftest import random_cost, random_marginal
+from conftest import random_cost, random_marginal, survey_draw
 
 
 def enumerate_cycle_means(tropical):
@@ -289,3 +289,16 @@ def test_lp_size_cap():
     c = CostTensor(np.zeros((9, 4)), 2, 2)
     with pytest.raises(SpecValidationError):
         primal_lp_oracle(c, Marginal(np.full(9, 1.0 / 9.0)))
+
+
+def test_survey_two_by_two_family_certifies_and_matches_lp():
+    # the robustness survey's (2, 2, 2) family, seeds 0-39: six of these
+    # used to fail the dual certificate at large beta
+    beta_max = 2**14
+    window = 2.0 * math.log(4.0) / beta_max + 1e-9
+    for seed in range(40):
+        cost, mu = survey_draw(seed, (2, 2, 2))
+        out = zero_temp_constrained(cost, mu, default_beta_grid(beta_max))
+        assert out.feasibility_residual <= 1e-9
+        assert out.support_equality_residual <= out.slack_tolerance
+        assert abs(out.value - primal_lp_oracle(cost, mu).value) <= window
