@@ -29,8 +29,9 @@ from .transfer import (
     effective_cost,
     log_perron,
     normalize_cost,
+    successor_table,
 )
-from .report import render_report
+from .report import SparseRows, render_report
 from .zerotemp import (
     default_beta_grid,
     zero_temp_constrained,
@@ -41,7 +42,12 @@ VERBS = ("pressure", "gibbs", "entropy", "dual", "zerotemp", "certify")
 
 
 def _plan_from_spec(spec):
-    """Optional plan section: jacobian (x, a, b) flat, q and p over blocks."""
+    """Optional plan section: jacobian (x, a, b) flat, q and p over blocks.
+
+    ``q`` is the dense ``(successor, block)`` matrix; it is read on the
+    successor pattern into the action layout, and every entry off that
+    pattern must be 0.
+    """
     doc = spec.extras.get("plan")
     if doc is None:
         return None
@@ -54,7 +60,10 @@ def _plan_from_spec(spec):
         jac = np.asarray(doc["jacobian"], dtype=float).reshape(spec.num_x, d, n_blocks)
     except (KeyError, ValueError) as exc:
         raise SpecValidationError(f"invalid plan section: {exc}") from exc
-    nu = MarkovMeasure(q, p, d)
+    q_ab = q[successor_table(d, n_blocks), np.arange(n_blocks)[:, None]]
+    if np.count_nonzero(q) != np.count_nonzero(q_ab):
+        raise SpecValidationError("plan q has nonzero entries off the successor pattern")
+    nu = MarkovMeasure(q_ab, p, d)
     return FiniteMemoryPlan(jac, nu, memory)
 
 
@@ -77,6 +86,18 @@ def _run_pressure(spec, args):
     }
 
 
+def _transition_rows(measure):
+    """The dense ``(successor, block)`` chain as sparse rows of the action layout.
+
+    Row ``b'`` is reached from the blocks ``b'//d + k*n/d`` by prepending
+    the symbol ``b' % d``.
+    """
+    d, n = measure.alphabet_size, measure.n_blocks
+    succ_rows = np.arange(n)[:, None]
+    cols = succ_rows // d + np.arange(d)[None, :] * (n // d)
+    return SparseRows(n, cols, measure.q[cols, succ_rows % d])
+
+
 def _run_gibbs(spec, args):
     cost = effective_cost(spec.cost)
     normalized = normalize_cost(cost, tol=args.tol_eigen)
@@ -86,7 +107,7 @@ def _run_gibbs(spec, args):
     return {
         "pressure": normalized.log_lambda,
         "stationary": measure.p,
-        "transition": measure.q,
+        "transition": _transition_rows(measure),
         "plan": export_plan(plan, depth),
     }
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
-from .symbolic import CostTensor, Marginal, decode_word, encode_word, lift_depth
+from .symbolic import CostTensor, Marginal, encode_word, lift_depth
 from .transfer import (
     MarkovMeasure,
     NormalizedCost,
@@ -28,7 +28,6 @@ from .transfer import (
     normalize_cost,
     nu_cylinder,
     nu_cylinder_table,
-    successor_table,
 )
 
 __all__ = [
@@ -58,8 +57,8 @@ class FiniteMemoryPlan:
     Invariants, enforced on the marginal's support:
 
     * ``sum_{x,a} J(x, a | b) = 1`` (local mass law),
-    * ``sum_x J(x, a | b) = q[succ(b, a), b]`` (the y-marginal is exactly
-      the block chain induced by the plan).
+    * ``sum_x J(x, a | b) = q[b, a]`` (the y-marginal is exactly the block
+      chain induced by the plan).
     """
 
     jacobian: np.ndarray
@@ -89,11 +88,7 @@ class FiniteMemoryPlan:
             raise SpecValidationError(
                 f"jacobian mass law violated by {np.abs(row - 1.0).max():.3e}"
             )
-        succ = successor_table(d, n_blocks)
-        marg = jac.sum(axis=0)
-        # q restricted to admissible transitions, in (b, a) layout
-        q_ab = self.nu.q[succ, np.arange(n_blocks)[:, None]]
-        defect = np.abs(marg.T - q_ab)[sup, :]
+        defect = np.abs(jac.sum(axis=0).T - self.nu.q)[sup, :]
         if defect.size and defect.max() > 1e-12:
             raise SpecValidationError(
                 f"jacobian x-sum disagrees with y-marginal chain by {defect.max():.3e}"
@@ -140,11 +135,7 @@ def product_plan(mu, nu):
     """Independent coupling of an x-marginal and an invariant y-marginal."""
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
-    d = nu.alphabet_size
-    n_blocks = nu.n_blocks
-    succ = successor_table(d, n_blocks)
-    q_ab = nu.q[succ, np.arange(n_blocks)[:, None]]  # (b, a)
-    jac = mu.weights[:, None, None] * q_ab.T[None, :, :]
+    jac = mu.weights[:, None, None] * nu.q.T[None, :, :]
     memory = nu.block_len + 1
     return FiniteMemoryPlan(jac, nu, memory)
 
@@ -287,7 +278,7 @@ def marginal_y(plan):
         raise SpecValidationError(
             "stored y-marginal disagrees with plan cylinder sums"
         )
-    if np.abs(plan.nu.q @ plan.nu.p - plan.nu.p).max() > 1e-12:
+    if np.abs(plan.nu.push(plan.nu.p) - plan.nu.p).max() > 1e-12:
         raise SpecValidationError("y-marginal stationarity residual above 1e-12")
     return plan.nu
 
@@ -296,11 +287,7 @@ def uniform_bernoulli_measure(alphabet_size, block_len=1):
     """Uniform Bernoulli measure as a block-Markov measure."""
     d = alphabet_size
     n_blocks = d**block_len
-    succ = successor_table(d, n_blocks)
-    q = np.zeros((n_blocks, n_blocks))
-    cols = np.arange(n_blocks)
-    for a in range(d):
-        q[succ[:, a], cols] = 1.0 / d
+    q = np.full((n_blocks, d), 1.0 / d)
     p = np.full(n_blocks, 1.0 / n_blocks)
     return MarkovMeasure(q, p, d)
 
@@ -308,8 +295,8 @@ def uniform_bernoulli_measure(alphabet_size, block_len=1):
 def periodic_orbit_measure(word, alphabet_size, block_len=1):
     """Invariant measure supported on the periodic orbit of a word.
 
-    Encoded as a deterministic (0/1) block chain; unsupported columns are
-    filled uniformly so the matrix stays stochastic.
+    Encoded as a deterministic (0/1) block chain; rows of unsupported
+    blocks are filled uniformly so the chain stays stochastic.
     """
     d = alphabet_size
     period = len(word)
@@ -318,17 +305,14 @@ def periodic_orbit_measure(word, alphabet_size, block_len=1):
     for i in range(period):
         blocks.append(encode_word([word[(i + j) % period] for j in range(block_len)], d))
     p = np.zeros(n_blocks)
-    q = np.zeros((n_blocks, n_blocks))
+    q = np.full((n_blocks, d), 1.0 / d)
     for i in range(period):
         p[blocks[i]] += 1.0 / period
-    succ = successor_table(d, n_blocks)
-    for b in range(n_blocks):
-        q[succ[b, :], b] = 1.0 / d
     for i in range(period):
+        # the block starting at i+1 is followed by prepending word[i]
         cur = blocks[(i + 1) % period]
-        nxt = blocks[i]  # prepending word[i] to the block starting at i+1
-        q[:, cur] = 0.0
-        q[nxt, cur] = 1.0
+        q[cur, :] = 0.0
+        q[cur, word[i]] = 1.0
     return MarkovMeasure(q, p, d)
 
 
@@ -337,11 +321,10 @@ def export_plan(plan, depth=None):
     if depth is None:
         depth = plan.memory
     d = plan.alphabet_size
-    masses = plan_mass_table(plan, depth)
-    triples = []
-    for x in range(plan.num_x):
-        for w in range(d**depth):
-            triples.append([x, list(decode_word(w, depth, d)), float(masses[x, w])])
+    masses = plan_mass_table(plan, depth).tolist()
+    # the digits of every word index at once, little-endian as in decode_word
+    words = (np.arange(d**depth)[:, None] // d ** np.arange(depth) % d).tolist()
+    triples = [[x, word, mass] for x, row in enumerate(masses) for word, mass in zip(words, row)]
     return {
         "depth": int(depth),
         "masses": triples,

@@ -4,28 +4,59 @@ Reports are JSON key-value trees with fixed key ordering (insertion
 order) and every float printed with 17 significant digits, so repeated
 runs on identical inputs are byte-identical.  Lists of at most eight
 scalars stay on one line; anything longer or nested takes one item per
-line.  The text is collected as a flat list of short pieces and joined
-once, so it is never copied level by level.  Float arrays are converted
-with ``tolist()`` one row at a time and their rows are cut into pieces
-of ``_PIECE_ITEMS`` items: pieces that small stay in Python's
-small-object allocator, whose arenas are returned whole, so rendering an
-``n x n`` chain leaves no large holes in the C heap and the process's
-peak memory does not depend on where earlier allocations happened to sit.
+line.  The text is collected as a flat list of pieces and joined once,
+so it is never copied level by level.
+
+Long float rows have one path, ``_emit_row``, which takes a row as its
+length plus the positions and values of the entries that do not print as
+``0`` (nonzeros, ``-0.0`` and ``nan``).  Only those entries are
+formatted.  A run of zeros is emitted as the binary decomposition of its
+length into shared, cached pieces, each holding ``2**j`` zeros behind the
+row separator of its indent, so a row costs ``O(nnz + log n)`` appends
+and allocates no text for its zeros.  Rows that are mostly nonzero are
+cut into pieces of ``_PIECE_ITEMS`` items instead.  Every piece is
+either that small, and so served by Python's small-object allocator,
+whose arenas are returned whole, or shared for the life of the process,
+so rendering a large chain leaves no large holes in the C heap and the
+process's peak memory does not depend on where earlier allocations
+happened to sit; the one large allocation is the final join.
+
+A matrix with a known sparsity pattern can be handed over as
+``SparseRows``, which renders byte for byte as its dense form without
+that form ever being built.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-__all__ = ["render_report"]
+__all__ = ["render_report", "SparseRows"]
 
 _INLINE_MAX = 8
 _CONTAINERS = (dict, list, tuple, np.ndarray)
-# items per piece of a long float row: about 512 bytes at the usual depths
+# items per piece of a long, mostly nonzero row: about 512 bytes at the
+# usual depths
 _PIECE_ITEMS = 16
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """A float matrix of ``n_cols`` columns given by its entries.
+
+    Row ``i`` holds ``values[i, k]`` at column ``cols[i, k]``, with the
+    columns of a row distinct and ascending along ``k``, and ``0``
+    everywhere else.  It renders exactly as the dense array would.
+    """
+
+    n_cols: int
+    cols: np.ndarray
+    values: np.ndarray
 
 
 def _format_float(v):
@@ -39,6 +70,11 @@ def _format_float(v):
 
 
 def _format_scalar(value):
+    kind = type(value)
+    if kind is float:
+        return _format_float(value)
+    if kind is int:
+        return str(value)
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -52,30 +88,82 @@ def _format_scalar(value):
     raise TypeError(f"cannot render {type(value)!r} in a report")
 
 
-def _emit_float_rows(parts, arr, indent):
-    """A float array, converted with ``tolist()`` one row at a time."""
+def _prints_nonzero(arr):
+    """Mask of the entries that do not print as ``0``: nonzeros, -0.0, nan."""
+    return (arr != 0.0) | np.signbit(arr)
+
+
+@functools.lru_cache(maxsize=None)
+def _zero_run(indent, j):
+    """``2**j`` zeros, each behind the row separator of items at ``indent``."""
+    return (",\n" + "  " * indent + "0") * (1 << j)
+
+
+def _emit_items(parts, items, indent):
+    """A list of more than ``_INLINE_MAX`` formatted items, one per line."""
+    pad = "  " * indent
+    sep = ",\n" + pad + "  "
+    parts.append("[\n" + pad + "  ")
+    for start in range(0, len(items), _PIECE_ITEMS):
+        if start:
+            parts.append(sep)
+        parts.append(sep.join(items[start:start + _PIECE_ITEMS]))
+    parts.append("\n" + pad + "]")
+
+
+def _emit_row(parts, length, pos, vals, indent):
+    """A float row of ``length`` entries: ``vals`` at the ascending ``pos``, zeros elsewhere."""
+    if not length:
+        parts.append("[]")
+        return
+    if length <= _INLINE_MAX or 2 * len(pos) > length:
+        items = ["0"] * length
+        for i, v in zip(pos, vals):
+            items[i] = _format_float(v)
+        if length <= _INLINE_MAX:
+            parts.append("[" + ", ".join(items) + "]")
+        else:
+            _emit_items(parts, items, indent)
+        return
     pad = "  " * indent
     inner = pad + "  "
-    if not len(arr):
-        parts.append("[]")
-    elif arr.ndim == 1 and len(arr) <= _INLINE_MAX:
-        parts.append("[" + ", ".join(map(_format_float, arr.tolist())) + "]")
-    elif arr.ndim == 1:
-        sep = ",\n" + inner
-        items = list(map(_format_float, arr.tolist()))
-        parts.append("[\n" + inner)
-        for start in range(0, len(items), _PIECE_ITEMS):
-            if start:
-                parts.append(sep)
-            parts.append(sep.join(items[start:start + _PIECE_ITEMS]))
-        parts.append("\n" + pad + "]")
+    sep = ",\n" + inner
+    if pos and pos[0] == 0:
+        parts.append("[\n" + inner + _format_float(vals[0]))
+        pos, vals = pos[1:], vals[1:]
     else:
-        sep = "[\n" + inner
-        for row in arr:
-            parts.append(sep)
-            _emit_float_rows(parts, row, indent + 1)
-            sep = ",\n" + inner
-        parts.append("\n" + pad + "]")
+        parts.append("[\n" + inner + "0")
+    done = 1
+    for i, v in zip(pos, vals):
+        _emit_zeros(parts, i - done, indent + 1)
+        parts.append(sep + _format_float(v))
+        done = i + 1
+    _emit_zeros(parts, length - done, indent + 1)
+    parts.append("\n" + pad + "]")
+
+
+def _emit_zeros(parts, count, indent):
+    j = 0
+    while count > 0:
+        if count & 1:
+            parts.append(_zero_run(indent, j))
+        count >>= 1
+        j += 1
+
+
+def _emit_sparse_rows(parts, matrix, indent):
+    if not len(matrix.cols):
+        parts.append("[]")
+        return
+    keep = _prints_nonzero(matrix.values).tolist()
+    sep = "[\n" + "  " * (indent + 1)
+    for cols, vals, mask in zip(matrix.cols.tolist(), matrix.values.tolist(), keep):
+        parts.append(sep)
+        pos = [c for c, k in zip(cols, mask) if k]
+        nz = [v for v, k in zip(vals, mask) if k]
+        _emit_row(parts, matrix.n_cols, pos, nz, indent + 1)
+        sep = ",\n" + "  " * (indent + 1)
+    parts.append("\n" + "  " * indent + "]")
 
 
 def _emit(parts, value, indent):
@@ -92,23 +180,35 @@ def _emit(parts, value, indent):
             sep = ",\n" + inner
         parts.append("\n" + pad + "}")
         return
+    if isinstance(value, SparseRows):
+        _emit_sparse_rows(parts, value, indent)
+        return
     if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and value.ndim:
-            _emit_float_rows(parts, value, indent)
+        if value.dtype.kind != "f" or not value.ndim:
+            value = value.tolist()
+        elif value.ndim > 1:
+            value = list(value)  # rows stay float arrays
+        else:
+            pos = np.flatnonzero(_prints_nonzero(value))
+            _emit_row(parts, len(value), pos.tolist(), value[pos].tolist(), indent)
             return
-        value = value.tolist()
     if isinstance(value, (list, tuple)):
         if not value:
             parts.append("[]")
-        elif len(value) <= _INLINE_MAX and not any(isinstance(v, _CONTAINERS) for v in value):
-            parts.append("[" + ", ".join(_format_scalar(v) for v in value) + "]")
-        else:
+        elif any(map(isinstance, value, repeat(_CONTAINERS))):
             sep = "[\n" + inner
             for v in value:
-                parts.append(sep)
-                _emit(parts, v, indent + 1)
+                if isinstance(v, _CONTAINERS):
+                    parts.append(sep)
+                    _emit(parts, v, indent + 1)
+                else:
+                    parts.append(sep + _format_scalar(v))
                 sep = ",\n" + inner
             parts.append("\n" + pad + "]")
+        elif len(value) <= _INLINE_MAX:
+            parts.append("[" + ", ".join(map(_format_scalar, value)) + "]")
+        else:
+            _emit_items(parts, list(map(_format_scalar, value)), indent)
         return
     parts.append(_format_scalar(value))
 

@@ -19,13 +19,14 @@ runs on the block chain ``P[b, succ(b, a)]`` that ``T`` induces at ``u``:
 a dense solve for small chains, a sparse LU built from ``succ`` above
 ``DENSE_SOLVE_MAX`` blocks.  The stationary vector of the normalized
 chain and its Poisson equation are solves with the same bordered matrix
-(``gibbs_chain``, ``poisson_solve``).  Markov measures keep the
-measure-evolution orientation ``q[b', b]`` (rows successor states, columns
-current states), so ``q = P.T`` for the normalized chain.
+(``gibbs_chain``, ``poisson_solve``).  Markov measures use the same
+action layout, ``q[b, a] = P(b -> succ(b, a))``: the normalized chain is
+stored as its ``n x d`` weights.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_EIGEN_TOL = 1e-13
-MAX_POWER_ITER = 10**6
 # Bordered chain solves up to this many blocks use dense LAPACK; above it a
 # sparse LU.  On a 2-core AMD EPYC the two cost about the same at 128
 # blocks, the dense one is 3-4x cheaper at 64 and up to 3x dearer at 256; the
@@ -239,7 +239,7 @@ def _power_steps(ct, succ, u, steps, target, switch):
     return None, u, it
 
 
-def log_perron(cost, tol=DEFAULT_EIGEN_TOL, max_iter=MAX_POWER_ITER, fast_iter=400):
+def log_perron(cost, tol=DEFAULT_EIGEN_TOL, fast_iter=400):
     """Log-domain dominant eigendata: (log lambda, log h, residual, iterations).
 
     Never exponentiates the cost globally, so arbitrarily scaled costs
@@ -273,7 +273,7 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL, max_iter=MAX_POWER_ITER, fast_iter=4
         # unreachable; the tolerance scales with their magnitude
         return max(tol, 4e-15 * max(1.0, ct_scale, float(np.abs(u).max()), abs(log_lam)))
 
-    budget = range(1, min(fast_iter, max_iter) + 1)
+    budget = range(1, fast_iter + 1)
     done, u, it = _power_steps(ct, succ, np.zeros(n_blocks), budget, target, True)
     if done:
         return done
@@ -376,11 +376,13 @@ def normalize_cost(cost, tol=DEFAULT_EIGEN_TOL):
 class MarkovMeasure:
     """Shift-invariant block-Markov measure on the sequence space.
 
-    ``q[b', b]`` is the probability of prepending the symbol that leads
-    from block ``b`` to block ``b'`` (column-stochastic on supported
-    columns); ``p`` is a stationary vector (``q @ p = p``).  Deterministic
-    0/1 columns encode measures supported on periodic orbits; column
-    entries on unsupported states are conventional placeholders.
+    Stored in the action layout: ``q[b, a]`` is the probability of
+    prepending the symbol ``a`` to block ``b``, which leads to block
+    ``succ[b, a]`` (row-stochastic on supported blocks), and ``p`` is a
+    stationary vector, ``sum_{succ[b, a] = b'} q[b, a] p[b] = p[b']``.
+    Deterministic 0/1 rows encode measures supported on periodic orbits;
+    rows of unsupported blocks are conventional placeholders.
+    ``block_len`` is ``k`` with ``n_blocks = d**k``.
     """
 
     q: np.ndarray
@@ -390,9 +392,16 @@ class MarkovMeasure:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
+        d = self.alphabet_size
         n = p.size
-        if q.shape != (n, n):
-            raise SpecValidationError(f"q has shape {q.shape}, expected ({n}, {n})")
+        block_len = round(math.log(n, d)) if n > 1 and d > 1 else 0
+        if d**block_len != n:
+            raise SpecValidationError(f"{n} blocks is not a power of the alphabet size {d}")
+        if q.shape != (n, d):
+            raise SpecValidationError(f"q has shape {q.shape}, expected ({n}, {d})")
+        if not np.isfinite(q).all() or (q < -1e-15).any():
+            raise SpecValidationError("q entries must be finite and nonnegative")
+        q = np.clip(q, 0.0, None)
         if (p < -1e-15).any():
             raise SpecValidationError("stationary vector has negative entries")
         p = np.clip(p, 0.0, None)
@@ -400,30 +409,35 @@ class MarkovMeasure:
             raise SpecValidationError(f"stationary vector sums to {p.sum()!r}")
         p = p / p.sum()
         support = p > 0.0
-        col_defect = np.abs(q.sum(axis=0)[support] - 1.0)
-        if col_defect.size and col_defect.max() > 1e-12:
+        row_defect = np.abs(q.sum(axis=1)[support] - 1.0)
+        if row_defect.size and row_defect.max() > 1e-12:
             raise SpecValidationError(
-                f"column sums deviate from 1 by {col_defect.max():.3e} on supported states"
+                f"row sums deviate from 1 by {row_defect.max():.3e} on supported states"
             )
-        if np.abs(q @ p - p).max() > 1e-12:
-            raise SpecValidationError("stationary vector fails q @ p = p at 1e-12")
-        q = q.copy()
+        succ = successor_table(d, n)
+        if np.abs(_push(q, succ, p) - p).max() > 1e-12:
+            raise SpecValidationError("stationary vector fails stationarity at 1e-12")
         q.setflags(write=False)
         p.setflags(write=False)
+        succ.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "succ", succ)
+        object.__setattr__(self, "block_len", block_len)
 
     @property
     def n_blocks(self):
         return self.p.size
 
-    @property
-    def block_len(self):
-        n, d, k = self.n_blocks, self.alphabet_size, 0
-        while d**k < n:
-            k += 1
-        return k
+    def push(self, dist):
+        """A distribution over blocks one step on: ``sum_{succ[b, a] = b'} q[b, a] dist[b]``."""
+        return _push(self.q, self.succ, np.asarray(dist, dtype=float))
+
+
+def _push(weights, succ, p):
+    """One step of a distribution: ``(P^T p)[b'] = sum_{succ[b, a] = b'} weights[b, a] p[b]``."""
+    return np.bincount(succ.ravel(), (weights * p[:, None]).ravel(), minlength=p.size)
 
 
 def _stationary(weights, succ, tol=1e-12):
@@ -439,8 +453,7 @@ def _stationary(weights, succ, tol=1e-12):
     rhs[0] = -1.0
     p = np.clip(_bordered_solve(weights, succ, rhs, transpose=True), 0.0, None)
     p = p / p.sum()
-    flow = np.bincount(succ.ravel(), (weights * p[:, None]).ravel(), minlength=n)
-    residual = float(np.abs(flow - p).max())
+    residual = float(np.abs(_push(weights, succ, p) - p).max())
     if residual > tol:
         raise ConvergenceError(
             f"stationary vector residual {residual:.3e} exceeds {tol:.0e}",
@@ -515,16 +528,13 @@ def poisson_solve(weights, succ, rhs):
 def gibbs_measure(normalized):
     """Invariant measure of the normalized operator's dual (the block chain).
 
-    ``q[b', b] = sum_x exp(cbar(x, a.b))`` and ``p`` is its stationary
-    vector (``gibbs_chain``); for a normalized cost the chain is
-    column-stochastic, so the dual fixed point is exactly the stationary
+    ``q[b, a] = sum_x exp(cbar(x, a.b))``, in the action layout, and ``p``
+    is its stationary vector (``gibbs_chain``); for a normalized cost the
+    chain is stochastic, so the dual fixed point is exactly the stationary
     block-Markov measure.
     """
-    weights, succ, p = gibbs_chain(normalized)
-    n_blocks = p.size
-    q = np.zeros((n_blocks, n_blocks))
-    q[succ, np.arange(n_blocks)[:, None]] = weights
-    return MarkovMeasure(q, p, normalized.alphabet_size)
+    weights, _, p = gibbs_chain(normalized)
+    return MarkovMeasure(weights, p, normalized.alphabet_size)
 
 
 def nu_cylinder_table(measure, length):
@@ -540,7 +550,7 @@ def nu_cylinder_table(measure, length):
     table = measure.p
     for n in range(block_len + 1, length + 1):
         idx = np.arange(d**n)
-        table = measure.q[idx % n_blocks, (idx // d) % n_blocks] * table[idx // d]
+        table = measure.q[(idx // d) % n_blocks, idx % d] * table[idx // d]
     return table
 
 
@@ -558,15 +568,15 @@ def nu_cylinder(measure, word):
         return float(measure.p.reshape(-1, step).sum(axis=0)[idx]) if n else 1.0
     mass = measure.p[(idx // d ** (n - block_len)) % n_blocks]
     for k in range(n - block_len):
-        mass *= measure.q[(idx // d**k) % n_blocks, (idx // d ** (k + 1)) % n_blocks]
+        mass *= measure.q[(idx // d ** (k + 1)) % n_blocks, (idx // d**k) % d]
     return float(mass)
 
 
 def markov_entropy_rate(measure):
     """Kolmogorov entropy of the block-Markov measure, in nats."""
     q = measure.q
-    rows, cols = np.nonzero(q > 0.0)
-    mass = q[rows, cols]
-    # row-major order adds each column's terms in the order q.sum(axis=0) does
-    terms = np.bincount(cols, mass * np.log(mass), minlength=q.shape[1])
+    blocks, actions = np.nonzero(q > 0.0)
+    mass = q[blocks, actions]
+    # each block's terms are added in the order of its actions
+    terms = np.bincount(blocks, mass * np.log(mass), minlength=q.shape[0])
     return float(-(terms * measure.p).sum())

@@ -3,8 +3,8 @@
 The scaled family ``beta * c`` concentrates, as ``beta`` grows, on plans
 maximizing ``integral(c)``.  The exact side of the limit is a max-plus
 eigenproblem on block states: the maximal ergodic average is the maximum
-cycle mean of the tropical matrix ``W[b', b] = max_x c(x, a.b)`` and the
-subaction solves the tropical fixed point
+cycle mean of the tropical weights ``W(b -> succ(b, a)) = max_x c(x, a.b)``
+and the subaction solves the tropical fixed point
 
     V(b) = max_{x,a} [ c(x, a.b) - m + V(succ(b, a)) ].
 
@@ -69,15 +69,13 @@ def default_beta_grid(beta_max=DEFAULT_BETA_MAX):
 
 @dataclass(frozen=True)
 class TropicalMatrix:
-    """Max-plus transition data on block states.
+    """Max-plus transition data on block states, in the action layout.
 
-    ``matrix[b', b]`` holds ``max_x c(x, a.b)`` for the admissible symbol
-    ``a`` (``-inf`` elsewhere); ``weights[b, a]`` is the same data in
-    action layout, with ``argmax_x[b, a]`` recording which x attains the
-    maximum (lowest index on ties) for support extraction.
+    ``weights[b, a] = max_x c(x, a.b)`` is the weight of the edge from
+    block ``b`` to ``succ[b, a]``, with ``argmax_x[b, a]`` recording which
+    x attains the maximum (lowest index on ties) for support extraction.
     """
 
-    matrix: np.ndarray
     weights: np.ndarray
     argmax_x: np.ndarray
     succ: np.ndarray
@@ -86,22 +84,15 @@ class TropicalMatrix:
 
     @property
     def size(self):
-        return self.matrix.shape[0]
+        return self.weights.shape[0]
 
 
 def maxplus_lift(cost):
-    """Tropical weight matrix of a cost: entrywise max over x."""
+    """Tropical weights of a cost: entrywise max over x."""
     cost = effective_cost(cost)
     ct = action_view(cost)
-    weights = ct.max(axis=0)
-    argmax_x = ct.argmax(axis=0)
-    n_blocks = block_count(cost)
-    succ = successor_table(cost.alphabet_size, n_blocks)
-    matrix = np.full((n_blocks, n_blocks), -np.inf)
-    cols = np.arange(n_blocks)
-    for a in range(cost.alphabet_size):
-        matrix[succ[:, a], cols] = weights[:, a]
-    return TropicalMatrix(matrix, weights, argmax_x, succ,
+    succ = successor_table(cost.alphabet_size, block_count(cost))
+    return TropicalMatrix(ct.max(axis=0), ct.argmax(axis=0), succ,
                           cost.alphabet_size, cost.depth)
 
 

@@ -18,7 +18,6 @@ from ergotrans.symbolic import CostTensor, Marginal
 from ergotrans.plans import FiniteMemoryPlan, periodic_orbit_measure, uniform_bernoulli_measure
 from ergotrans.transfer import (
     DEFAULT_EIGEN_TOL,
-    MAX_POWER_ITER,
     MarkovMeasure,
     NormalizedCost,
     action_view,
@@ -72,29 +71,41 @@ def survey_draw(seed, family):
     raise ValueError(f"{family} is not a survey family")
 
 
+def dense_chain(q_ab):
+    """The dense ``(successor, block)`` matrix of an action-layout chain."""
+    n_blocks, d = q_ab.shape
+    q = np.zeros((n_blocks, n_blocks))
+    q[successor_table(d, n_blocks), np.arange(n_blocks)[:, None]] = q_ab
+    return q
+
+
+def dense_q(measure):
+    """``q[b', b]``: a measure's chain as the dense column-stochastic matrix."""
+    return dense_chain(measure.q)
+
+
+def dense_tropical(tropical):
+    """``W[b', b]``: tropical weights as a dense matrix, ``-inf`` off the successor pattern."""
+    n_blocks = tropical.size
+    mat = np.full((n_blocks, n_blocks), -np.inf)
+    mat[tropical.succ, np.arange(n_blocks)[:, None]] = tropical.weights
+    return mat
+
+
 def random_markov_measure(rng, d, block_len):
     """Random fully supported block chain (admissible transitions only)."""
     n_blocks = d**block_len
     weights = rng.uniform(0.1, 1.0, size=(n_blocks, d))
     weights = weights / weights.sum(axis=1)[:, None]
-    succ = successor_table(d, n_blocks)
-    q = np.zeros((n_blocks, n_blocks))
-    for a in range(d):
-        q[succ[:, a], np.arange(n_blocks)] = weights[:, a]
-    return MarkovMeasure(q, stationary_vector(q), d)
+    return MarkovMeasure(weights, stationary_vector(dense_chain(weights)), d)
 
 
 def random_plan(rng, num_x, d, m):
     """Generic fully supported finite-memory plan."""
-    n_blocks = d ** (m - 1)
-    raw = rng.uniform(0.1, 1.0, size=(num_x, d, n_blocks))
+    raw = rng.uniform(0.1, 1.0, size=(num_x, d, d ** (m - 1)))
     jac = raw / raw.sum(axis=(0, 1))[None, None, :]
-    q = np.zeros((n_blocks, n_blocks))
-    succ = successor_table(d, n_blocks)
-    marg = jac.sum(axis=0)  # (a, b)
-    for a in range(d):
-        q[succ[:, a], np.arange(n_blocks)] = marg[a, :]
-    nu = MarkovMeasure(q, stationary_vector(q), d)
+    q_ab = jac.sum(axis=0).T
+    nu = MarkovMeasure(q_ab, stationary_vector(dense_chain(q_ab)), d)
     return FiniteMemoryPlan(jac, nu, m)
 
 
@@ -187,6 +198,9 @@ class PerronSolution:
     residual: float
     gap_estimate: float
     iterations: int
+
+
+MAX_POWER_ITER = 10**6
 
 
 def _power_iterate(op, size, tol, max_iter):

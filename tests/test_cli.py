@@ -101,6 +101,22 @@ def test_invalid_spec_exits_2(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_plan_q_off_the_successor_pattern_exits_2(tmp_path, capsys):
+    # d = 2, depth 3: block b leads to blocks 2b mod 4 and 2b + 1 mod 4
+    q = [[0.5 if (r - 2 * b) % 4 in (0, 1) else 0.0 for b in range(4)] for r in range(4)]
+    doc = {"num_x": 1, "alphabet_size": 2, "depth": 3, "cost": [0.0] * 8,
+           "plan": {"jacobian": [0.5] * 8, "q": sum(q, []), "p": [0.25] * 4}}
+    spec = tmp_path / "plan.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["entropy", "--spec", str(spec)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["entropy"] == pytest.approx(math.log(2.0))
+    q[0][1] = 1e-300  # block 1 leads only to blocks 2 and 3
+    doc["plan"]["q"] = sum(q, [])
+    spec.write_text(json.dumps(doc))
+    assert main(["entropy", "--spec", str(spec)]) == 2
+    assert "off the successor pattern" in capsys.readouterr().err
+
+
 def test_mu_required_for_dual(capsys):
     assert main(["dual", "--spec", spec_path("two_state.json")]) == 2
     assert "requires a mu" in capsys.readouterr().err

@@ -123,3 +123,63 @@ def test_render_exact_inline_boundary():
         text = render_report(tree)
         assert text == legacy_render_report(tree)
         assert (text.count("\n") == 5) == (n == 8)
+
+
+RUN_LENGTHS = (1, 15, 16, 17, 31, 32, 33, 1023, 1024, 1025)
+EDGES = (-0.0, float("nan"), float("inf"), float("-inf"), 0.75)
+
+
+def _nested(row):
+    """A row at several indents: top level, in a dict, in a list of rows."""
+    return {"row": row, "deep": {"more": [row, row[::-1]]}, "stack": np.stack([row, row])}
+
+
+def test_render_zero_runs_match_legacy():
+    for run in RUN_LENGTHS:
+        zeros = [0.0] * run
+        for edge in EDGES:
+            rows = (
+                [edge] + zeros + [edge],              # specials bound the run
+                zeros + [edge],                       # run first, special last
+                [edge] + zeros,                       # special first, run last
+                zeros + [edge, -edge] + zeros + [1.0],  # two runs around specials
+            )
+            for row in rows:
+                tree = _nested(np.array(row))
+                assert render_report(tree) == legacy_render_report(tree)
+        for row in (np.zeros(run), np.full(run, -0.0)):  # all-zero rows
+            tree = _nested(row)
+            assert render_report(tree) == legacy_render_report(tree)
+
+
+def test_render_sparse_rows_match_legacy():
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        length = int(rng.integers(9, 3000))
+        row = np.zeros(length)
+        nnz = int(rng.integers(1, max(2, length // 10)))
+        pos = rng.choice(length, size=nnz, replace=False)
+        row[pos] = _random_float_array(rng, nnz)
+        tree = _nested(row)
+        assert render_report(tree) == legacy_render_report(tree)
+
+
+def test_action_layout_transition_renders_as_dense_matrix():
+    from conftest import dense_q, random_cost
+
+    from ergotrans.cli import _transition_rows
+    from ergotrans.plans import periodic_orbit_measure
+    from ergotrans.transfer import gibbs_measure, normalize_cost
+
+    rng = np.random.default_rng(88)
+    sizes = [(2, m) for m in range(2, 13)] + [(3, 2), (3, 3), (3, 5), (4, 2), (4, 3), (4, 4)]
+    for d, m in sizes:
+        measures = [gibbs_measure(normalize_cost(random_cost(rng, 2, d, m)))]
+        if m <= 4:  # deterministic rows: zeros on the successor pattern
+            measures.append(periodic_orbit_measure([0, d - 1], d, m - 1))
+        for measure in measures:
+            dense = {"transition": dense_q(measure)}
+            text = render_report({"transition": _transition_rows(measure)})
+            assert text == render_report(dense)
+            if measure.n_blocks <= 64:
+                assert text == legacy_render_report(dense)

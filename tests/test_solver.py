@@ -18,6 +18,7 @@ import pytest
 
 import ergotrans.transfer as transfer
 from ergotrans.errors import ConvergenceError
+from ergotrans.plans import gibbs_plan
 from ergotrans._tropical import howard_policy_iteration, karp_cycle_mean
 from ergotrans.symbolic import CostTensor
 from ergotrans.transfer import (
@@ -38,6 +39,7 @@ from ergotrans.zerotemp import (
 
 from conftest import (
     assemble_transfer,
+    dense_q,
     perron_solve,
     random_cost,
     random_marginal,
@@ -88,7 +90,7 @@ def test_gibbs_chain_is_stationary_on_random_family():
     for cost in random_family():
         for beta in BETAS:
             measure = gibbs_measure(normalize_cost(scaled(cost, beta)))
-            assert np.abs(measure.q @ measure.p - measure.p).max() <= 1e-12
+            assert np.abs(dense_q(measure) @ measure.p - measure.p).max() <= 1e-12
             assert measure.p.sum() == pytest.approx(1.0, abs=1e-12)
             assert (measure.p >= 0.0).all()
 
@@ -145,6 +147,19 @@ def test_sparse_solve_builds_no_dense_chain():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 8
+
+
+def test_gibbs_plan_builds_no_dense_chain():
+    rng = np.random.default_rng(305)
+    cost = random_cost(rng, 2, 2, 12)  # 2048 blocks
+    n = block_count(cost)
+    tracemalloc.start()
+    try:
+        gibbs_plan(normalize_cost(cost))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4
 
 
 @pytest.mark.parametrize("cap", [128, 0], ids=["dense", "sparse"])

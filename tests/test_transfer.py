@@ -19,6 +19,7 @@ from conftest import (
     REF_H,
     REF_LAMBDA,
     assemble_transfer,
+    dense_q,
     normalize_with_solution,
     perron_solve,
     random_cost,
@@ -205,8 +206,10 @@ def test_gibbs_measure_two_state(two_state_cost):
     measure = gibbs_measure(normalize_cost(two_state_cost))
     assert abs(measure.p[0] - 0.3786) <= 2e-4
     assert abs(measure.p[1] - 0.6213) <= 2e-4
-    assert np.abs(measure.q.sum(axis=0) - 1.0).max() <= 1e-12
-    assert np.abs(measure.q @ measure.p - measure.p).max() <= 1e-12
+    q = dense_q(measure)
+    assert np.abs(q.sum(axis=0) - 1.0).max() <= 1e-12
+    assert np.abs(q @ measure.p - measure.p).max() <= 1e-12
+    assert np.abs(measure.push(measure.p) - q @ measure.p).max() <= 1e-15
 
 
 def test_gibbs_measure_uniform_cost():
@@ -220,9 +223,10 @@ def test_gibbs_measure_matches_power_iteration_oracle():
     for _ in range(10):
         c = random_cost(rng, 2, int(rng.integers(2, 4)), 2)
         measure = gibbs_measure(normalize_cost(c))
+        q = dense_q(measure)
         p = np.full(measure.n_blocks, 1.0 / measure.n_blocks)
         for _ in range(20000):
-            p_next = measure.q @ p
+            p_next = q @ p
             p_next /= p_next.sum()
             if np.abs(p_next - p).max() < 1e-15:
                 p = p_next
@@ -264,7 +268,7 @@ def test_markov_entropy_rate_matches_dense_sum_exactly():
     from ergotrans.plans import periodic_orbit_measure
 
     def dense(measure):
-        q = measure.q
+        q = dense_q(measure)
         terms = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
         return float(-(terms.sum(axis=0) * measure.p).sum())
 
