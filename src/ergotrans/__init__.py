@@ -14,7 +14,6 @@ from .symbolic import (
     build_problem,
     decode_word,
     encode_word,
-    evaluate_cost,
     lift_depth,
     load_problem,
 )
@@ -61,14 +60,12 @@ from .zerotemp import (
     BetaSweepRecord,
     ConstrainedZeroTemp,
     MaxPlusSolution,
-    PrimalLPResult,
     TropicalMatrix,
     UnconstrainedZeroTemp,
     beta_sweep,
     default_beta_grid,
     karp_value,
     maxplus_lift,
-    primal_lp_oracle,
     subaction_solve,
     zero_temp_constrained,
     zero_temp_unconstrained,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SpecValidationError
+from .report import CylinderTable
 from .symbolic import CostTensor, Marginal, encode_word, lift_depth
 from .transfer import (
     MarkovMeasure,
@@ -296,7 +297,11 @@ def periodic_orbit_measure(word, alphabet_size, block_len=1):
     """Invariant measure supported on the periodic orbit of a word.
 
     Encoded as a deterministic (0/1) block chain; rows of unsupported
-    blocks are filled uniformly so the chain stays stochastic.
+    blocks are filled uniformly so the chain stays stochastic.  Every
+    ``block_len``-block of the orbit must determine the symbol that comes
+    next; a block that recurs in the period with a different next symbol
+    raises ``SpecValidationError``, since only longer blocks encode the
+    orbit.
     """
     d = alphabet_size
     period = len(word)
@@ -308,25 +313,35 @@ def periodic_orbit_measure(word, alphabet_size, block_len=1):
     q = np.full((n_blocks, d), 1.0 / d)
     for i in range(period):
         p[blocks[i]] += 1.0 / period
+    follows = {}
     for i in range(period):
         # the block starting at i+1 is followed by prepending word[i]
         cur = blocks[(i + 1) % period]
+        if follows.setdefault(cur, word[i]) != word[i]:
+            raise SpecValidationError(
+                f"the orbit of {list(word)} needs blocks longer than {block_len}: "
+                f"block {cur} recurs with different next symbols"
+            )
         q[cur, :] = 0.0
         q[cur, word[i]] = 1.0
     return MarkovMeasure(q, p, d)
 
 
 def export_plan(plan, depth=None):
-    """Deterministic plan export: (x, word, mass) triples plus the Jacobian."""
+    """Deterministic plan export: the depth, the masses and the Jacobian.
+
+    ``masses`` is a ``CylinderTable``, the sequence of ``[x, word, mass]``
+    triples over every word of length ``depth`` in canonical order, x
+    outer; ``jacobian`` is the plan's ``(x, a, block)`` array.  Both render
+    exactly as the nested lists they stand for.
+    """
     if depth is None:
         depth = plan.memory
     d = plan.alphabet_size
-    masses = plan_mass_table(plan, depth).tolist()
-    # the digits of every word index at once, little-endian as in decode_word
-    words = (np.arange(d**depth)[:, None] // d ** np.arange(depth) % d).tolist()
-    triples = [[x, word, mass] for x, row in enumerate(masses) for word, mass in zip(words, row)]
+    # the digits of every word index, little-endian as in decode_word
+    digits = np.arange(d**depth)[:, None] // d ** np.arange(depth) % d
     return {
         "depth": int(depth),
-        "masses": triples,
-        "jacobian": plan.jacobian.tolist(),
+        "masses": CylinderTable(digits, plan_mass_table(plan, depth)),
+        "jacobian": plan.jacobian,
     }

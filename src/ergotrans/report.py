@@ -23,7 +23,11 @@ happened to sit; the one large allocation is the final join.
 
 A matrix with a known sparsity pattern can be handed over as
 ``SparseRows``, which renders byte for byte as its dense form without
-that form ever being built.
+that form ever being built.  A table of cylinder masses is handed over as
+``CylinderTable``: its word digits and its ``(#X, words)`` masses.  It
+renders byte for byte as the list of ``[x, word, mass]`` triples it
+stands for; each word's text is built once and each mass formatted once,
+and each triple is one piece.
 """
 
 from __future__ import annotations
@@ -31,18 +35,21 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
-__all__ = ["render_report", "SparseRows"]
+__all__ = ["render_report", "SparseRows", "CylinderTable"]
 
 _INLINE_MAX = 8
-_CONTAINERS = (dict, list, tuple, np.ndarray)
 # items per piece of a long, mostly nonzero row: about 512 bytes at the
 # usual depths
 _PIECE_ITEMS = 16
+# floats per formatting call of a cylinder table: a few kilobytes of text
+_FORMAT_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,43 @@ class SparseRows:
     n_cols: int
     cols: np.ndarray
     values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class CylinderTable(Sequence):
+    """Cylinder masses ``masses[x, w]`` of the words ``digits[w]``.
+
+    ``digits`` has one row of symbols per word and ``masses`` one row per
+    x.  As a sequence it is the list of triples ``[x, word, mass]``, x
+    outer and words in row order, and it renders exactly as that list.
+    """
+
+    digits: np.ndarray
+    masses: np.ndarray
+
+    def __post_init__(self):
+        digits = np.asarray(self.digits)
+        masses = np.asarray(self.masses, dtype=float)
+        if digits.ndim != 2 or digits.dtype.kind not in "iu" or (digits < 0).any():
+            raise ValueError("digits must be a 2-d array of nonnegative integers")
+        if masses.ndim != 2 or masses.shape[1] != digits.shape[0]:
+            raise ValueError(f"masses of shape {masses.shape} do not match "
+                             f"{digits.shape[0]} words")
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "masses", masses)
+
+    def __len__(self):
+        return self.masses.size
+
+    def __getitem__(self, index):
+        index = operator.index(index)
+        if not -len(self) <= index < len(self):
+            raise IndexError("cylinder table index out of range")
+        x, w = divmod(index % len(self), self.digits.shape[0])
+        return [x, self.digits[w].tolist(), float(self.masses[x, w])]
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray, SparseRows, CylinderTable)
 
 
 def _format_float(v):
@@ -166,6 +210,52 @@ def _emit_sparse_rows(parts, matrix, indent):
     parts.append("\n" + "  " * indent + "]")
 
 
+def _format_floats(values):
+    """``_format_float`` of each entry of a 1-d float array.
+
+    ``%`` formats ``_FORMAT_BATCH`` entries per call, which keeps its
+    strings a few kilobytes long.
+    """
+    flat = values.tolist()
+    texts = []
+    for start in range(0, len(flat), _FORMAT_BATCH):
+        batch = tuple(flat[start:start + _FORMAT_BATCH])
+        texts += ("%.17g\0" * len(batch) % batch).split("\0")[:-1]
+    # "%.17g" prints 0 and -0 as "0" and "-0" already; only nan and inf differ
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = _format_float(flat[i])
+    return texts
+
+
+def _word_texts(digits, indent):
+    """Each row of symbols as the list rendering of that word at ``indent``."""
+    names = [str(v) for v in range(int(digits.max(initial=0)) + 1)]
+    if digits.shape[1] <= _INLINE_MAX:
+        opening, sep, closing = "[", ", ", "]"
+    else:
+        pad = "  " * indent
+        opening, sep, closing = "[\n" + pad + "  ", ",\n" + pad + "  ", "\n" + pad + "]"
+    return [opening + sep.join([names[v] for v in word]) + closing for word in digits.tolist()]
+
+
+def _emit_cylinder_table(parts, table, indent):
+    if not len(table):
+        parts.append("[]")
+        return
+    pad = "  " * (indent + 1)
+    inner = pad + "  "
+    words = _word_texts(table.digits, indent + 2)
+    mid = ",\n" + inner
+    tail = "\n" + pad + "]"
+    lead = "[\n" + pad
+    for x, row in enumerate(table.masses):
+        head = f"[\n{inner}{x}{mid}"
+        for word, mass in zip(words, _format_floats(row)):
+            parts.append(f"{lead}{head}{word}{mid}{mass}{tail}")
+            lead = ",\n" + pad
+    parts.append("\n" + "  " * indent + "]")
+
+
 def _emit(parts, value, indent):
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -182,6 +272,9 @@ def _emit(parts, value, indent):
         return
     if isinstance(value, SparseRows):
         _emit_sparse_rows(parts, value, indent)
+        return
+    if isinstance(value, CylinderTable):
+        _emit_cylinder_table(parts, value, indent)
         return
     if isinstance(value, np.ndarray):
         if value.dtype.kind != "f" or not value.ndim:

@@ -28,7 +28,6 @@ __all__ = [
     "ProblemSpec",
     "encode_word",
     "decode_word",
-    "evaluate_cost",
     "lift_depth",
     "build_problem",
     "load_problem",
@@ -103,16 +102,6 @@ class CostTensor:
     @property
     def word_count(self):
         return self.values.shape[1]
-
-
-def evaluate_cost(cost, x, word):
-    """Evaluate ``c(x, y)`` on any word at least as long as the depth."""
-    if len(word) < cost.depth:
-        raise SpecValidationError(
-            f"word of length {len(word)} shorter than cost depth {cost.depth}"
-        )
-    idx = encode_word(word[: cost.depth], cost.alphabet_size)
-    return float(cost.values[x, idx])
 
 
 def lift_depth(cost, m_target):

@@ -16,9 +16,10 @@ Everything works in the action layout ``ct[x, b, a] = c(x, a.b)`` with the
 
 and its dominant eigendata solve ``T(u) = u + log lambda``.  Linear algebra
 runs on the block chain ``P[b, succ(b, a)]`` that ``T`` induces at ``u``:
-a dense solve for small chains, a sparse LU built from ``succ`` above
-``DENSE_SOLVE_MAX`` blocks.  The stationary vector of the normalized
-chain and its Poisson equation are solves with the same bordered matrix
+a dense solve for small chains, a sparse LU above ``DENSE_SOLVE_MAX``
+blocks, whose index pattern follows from ``succ`` alone and is built once
+per ``(d, n)``.  The stationary vector of the normalized chain and its
+Poisson equation are solves with the same bordered matrix
 (``gibbs_chain``, ``poisson_solve``).  Markov measures use the same
 action layout, ``q[b, a] = P(b -> succ(b, a))``: the normalized chain is
 stored as its ``n x d`` weights.
@@ -26,6 +27,7 @@ stored as its ``n x d`` weights.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,18 +100,47 @@ def successor_table(alphabet_size, n_blocks):
     return (a + alphabet_size * b) % n_blocks
 
 
+@functools.lru_cache(maxsize=32)
+def _bordered_pattern(alphabet_size, n_blocks):
+    """CSC pattern of the bordered matrix on ``successor_table(d, n)``.
+
+    Returns ``(indptr, indices, source)``: slot ``k`` of the CSC data holds
+    entry ``source[k]`` of ``[escape.ravel(), diagonal, -1]``, where the
+    diagonal is minus the row sums of ``escape``.  The triplets are the
+    off-diagonal chain entries off column 0, the diagonal off column 0 and
+    ``-1`` down column 0; no two share a slot, and each column holds its
+    rows in ascending order, as a triplet build would sort them.
+    """
+    n, d = n_blocks, alphabet_size
+    succ = successor_table(d, n)
+    cols = succ.ravel()
+    keep = (succ != np.arange(n)[:, None]).ravel() & (cols != 0)
+    rest = np.arange(1, n)
+    rows = np.concatenate((np.repeat(np.arange(n), d)[keep], rest, np.arange(n)))
+    cols = np.concatenate((cols[keep], rest, np.zeros(n, dtype=cols.dtype)))
+    source = np.concatenate((np.flatnonzero(keep), n * d + rest, np.full(n, n * d + n)))
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    pattern = (indptr.astype(np.intc), rows[order].astype(np.intc), source[order])
+    for arr in pattern:
+        arr.setflags(write=False)
+    return pattern
+
+
 def _bordered_solve(weights, succ, rhs, transpose=False):
     """Solve ``B x = rhs`` (or ``B^T x = rhs``) for the bordered chain matrix.
 
     ``B = P - I`` with column 0 replaced by ``-1``, where the row-stochastic
-    chain is ``P[b, succ[b, a]] = weights[b, a]``.  ``B`` is nonsingular
-    exactly when ``P`` has a single recurrent class.  The diagonal of
-    ``P - I`` is taken as minus the row's off-diagonal sum, as in the
-    Grassmann-Taksar-Heyman method: ``P[b, b] - 1`` would cancel to 0 on a
-    nearly reducible chain and lose the small escape probabilities that
-    decide its stationary vector.  Up to ``DENSE_SOLVE_MAX`` blocks LAPACK
-    solves the dense matrix; above it a sparse LU is factored from a CSC
-    matrix built straight from ``succ``, and no ``n x n`` array exists.  A
+    chain is ``P[b, succ[b, a]] = weights[b, a]`` and ``succ`` is
+    ``successor_table(d, n)``.  ``B`` is nonsingular exactly when ``P`` has
+    a single recurrent class.  The diagonal of ``P - I`` is taken as minus
+    the row's off-diagonal sum, as in the Grassmann-Taksar-Heyman method:
+    ``P[b, b] - 1`` would cancel to 0 on a nearly reducible chain and lose
+    the small escape probabilities that decide its stationary vector.  Up
+    to ``DENSE_SOLVE_MAX`` blocks LAPACK solves the dense matrix; above it
+    a sparse LU is factored from a CSC matrix whose index pattern depends
+    only on ``(d, n)``: it is built once (``_bordered_pattern``), each
+    solve only fills in the values, and no ``n x n`` array exists.  A
     singular matrix raises ``ConvergenceError`` with the residual of the
     unsolved system, ``max |rhs|``.
     """
@@ -129,16 +160,13 @@ def _bordered_solve(weights, succ, rhs, transpose=False):
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
 
-        # triplets: off-diagonal chain entries off column 0, the diagonal
-        # off column 0, and -1 down column 0
-        cols = succ.ravel()
-        keep = off.ravel() & (cols != 0)
-        rest = np.arange(1, n)
-        rows = np.concatenate((np.repeat(np.arange(n), d)[keep], rest, np.arange(n)))
-        cols = np.concatenate((cols[keep], rest, np.zeros(n, dtype=cols.dtype)))
-        data = np.concatenate((escape.ravel()[keep], -escape.sum(axis=1)[1:], np.full(n, -1.0)))
+        indptr, indices, source = _bordered_pattern(d, n)
+        values = np.empty(n * d + n + 1)
+        values[:n * d] = escape.ravel()
+        values[n * d:-1] = -escape.sum(axis=1)
+        values[-1] = -1.0
         try:
-            lu = splu(csc_matrix((data, (rows, cols)), shape=(n, n)))
+            lu = splu(csc_matrix((values[source], indices, indptr), shape=(n, n)))
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise _singular(exc, rhs) from exc
         x = lu.solve(rhs, trans="T" if transpose else "N")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -42,7 +41,6 @@ __all__ = [
     "BetaSweepRecord",
     "UnconstrainedZeroTemp",
     "ConstrainedZeroTemp",
-    "PrimalLPResult",
     "default_beta_grid",
     "maxplus_lift",
     "karp_value",
@@ -50,7 +48,6 @@ __all__ = [
     "beta_sweep",
     "zero_temp_unconstrained",
     "zero_temp_constrained",
-    "primal_lp_oracle",
 ]
 
 DEFAULT_BETA_MAX = 2**14
@@ -368,70 +365,3 @@ def zero_temp_constrained(cost, mu, betas=None,
         slack_tolerance=float(slack_tolerance),
         records=records,
     )
-
-
-@dataclass(frozen=True)
-class PrimalLPResult:
-    """Exact primal value and an optimal vertex of the depth-2 plan polytope."""
-
-    value: float
-    plan: np.ndarray
-
-
-def primal_lp_oracle(cost, mu):
-    """Maximize ``integral(c)`` over depth-2 plans with fixed x-marginal.
-
-    Decision variables are cylinder masses ``q(x, ab)``; constraints are
-    shift consistency of the y-marginal and the x-marginal pin.  Solved
-    exactly by vertex enumeration (desk sizes only).
-    """
-    cost = effective_cost(cost)
-    if cost.depth > 2:
-        raise SpecValidationError("primal oracle supports depth <= 2 costs")
-    if not isinstance(mu, Marginal):
-        mu = Marginal(mu)
-    num_x, d = cost.num_x, cost.alphabet_size
-    n_var = num_x * d * d
-    if n_var > 32:
-        raise SpecValidationError(f"instance size {n_var} exceeds the oracle cap of 32")
-
-    a_rows = []
-    b_vals = []
-    for b in range(d):
-        row = np.zeros(n_var)
-        for x in range(num_x):
-            for a in range(d):
-                row[x * d * d + (a + d * b)] += 1.0   # mass of words (a, b)
-                row[x * d * d + (b + d * a)] -= 1.0   # mass of words (b, a)
-        a_rows.append(row)
-        b_vals.append(0.0)
-    for x in range(num_x):
-        row = np.zeros(n_var)
-        row[x * d * d:(x + 1) * d * d] = 1.0
-        a_rows.append(row)
-        b_vals.append(float(mu.weights[x]))
-    a_eq = np.array(a_rows)
-    b_eq = np.array(b_vals)
-    rank = np.linalg.matrix_rank(a_eq, tol=1e-12)
-
-    obj = cost.values.reshape(-1)
-    best_value = None
-    best_q = None
-    for basis in combinations(range(n_var), rank):
-        sub = a_eq[:, basis]
-        if np.linalg.matrix_rank(sub, tol=1e-12) < rank:
-            continue
-        q_b, *_ = np.linalg.lstsq(sub, b_eq, rcond=None)
-        if np.abs(sub @ q_b - b_eq).max() > 1e-10:
-            continue
-        if (q_b < -1e-10).any():
-            continue
-        q = np.zeros(n_var)
-        q[list(basis)] = np.clip(q_b, 0.0, None)
-        value = float(obj @ q)
-        if best_value is None or value > best_value + 1e-15:
-            best_value = value
-            best_q = q
-    if best_value is None:
-        raise ConvergenceError("vertex enumeration found no feasible basis")
-    return PrimalLPResult(best_value, best_q.reshape(num_x, d * d))

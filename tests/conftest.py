@@ -4,17 +4,21 @@ Also the dense linear-domain oracles: the transfer matrix, Collatz-Wielandt
 power iteration for its Perron data, normalization against such data, and a
 least-squares stationary vector.  The package solves all of these in log
 domain on the block chain; the tests check it against these independent paths.
+The sparse bordered chain matrix built from triplets, a direct cost
+evaluation and the exact vertex-enumeration LP for the constrained
+zero-temperature limit are oracles kept here for the same reason.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from ergotrans.errors import ConvergenceError, SpecValidationError
-from ergotrans.symbolic import CostTensor, Marginal
+from ergotrans.symbolic import CostTensor, Marginal, encode_word
 from ergotrans.plans import FiniteMemoryPlan, periodic_orbit_measure, uniform_bernoulli_measure
 from ergotrans.transfer import (
     DEFAULT_EIGEN_TOL,
@@ -331,3 +335,101 @@ def scaled_dense_log_perron(cost):
     h_tilde = np.clip(np.abs(eigvecs[:, i].real), 1e-300, None)
     u = np.log(h_tilde) + v_cal
     return float(np.log(eigvals[i].real) + mean), u - u.min()
+
+
+def bordered_triplet_matrix(weights, succ):
+    """The sparse bordered chain matrix of ``transfer._bordered_solve``, from triplets.
+
+    Off-diagonal chain entries off column 0, the GTH diagonal off column 0
+    and ``-1`` down column 0, assembled by ``csc_matrix`` from
+    ``(data, (rows, cols))``.
+    """
+    from scipy.sparse import csc_matrix
+
+    n, d = weights.shape
+    off = succ != np.arange(n)[:, None]
+    escape = np.where(off, weights, 0.0)
+    cols = succ.ravel()
+    keep = off.ravel() & (cols != 0)
+    rest = np.arange(1, n)
+    rows = np.concatenate((np.repeat(np.arange(n), d)[keep], rest, np.arange(n)))
+    cols = np.concatenate((cols[keep], rest, np.zeros(n, dtype=cols.dtype)))
+    data = np.concatenate((escape.ravel()[keep], -escape.sum(axis=1)[1:], np.full(n, -1.0)))
+    return csc_matrix((data, (rows, cols)), shape=(n, n))
+
+
+def evaluate_cost(cost, x, word):
+    """Evaluate ``c(x, y)`` on any word at least as long as the depth."""
+    if len(word) < cost.depth:
+        raise SpecValidationError(
+            f"word of length {len(word)} shorter than cost depth {cost.depth}"
+        )
+    idx = encode_word(word[: cost.depth], cost.alphabet_size)
+    return float(cost.values[x, idx])
+
+
+@dataclass(frozen=True)
+class PrimalLPResult:
+    """Exact primal value and an optimal vertex of the depth-2 plan polytope."""
+
+    value: float
+    plan: np.ndarray
+
+
+def primal_lp_oracle(cost, mu):
+    """Maximize ``integral(c)`` over depth-2 plans with fixed x-marginal.
+
+    Decision variables are cylinder masses ``q(x, ab)``; constraints are
+    shift consistency of the y-marginal and the x-marginal pin.  Solved
+    exactly by vertex enumeration (desk sizes only).
+    """
+    cost = effective_cost(cost)
+    if cost.depth > 2:
+        raise SpecValidationError("primal oracle supports depth <= 2 costs")
+    if not isinstance(mu, Marginal):
+        mu = Marginal(mu)
+    num_x, d = cost.num_x, cost.alphabet_size
+    n_var = num_x * d * d
+    if n_var > 32:
+        raise SpecValidationError(f"instance size {n_var} exceeds the oracle cap of 32")
+
+    a_rows = []
+    b_vals = []
+    for b in range(d):
+        row = np.zeros(n_var)
+        for x in range(num_x):
+            for a in range(d):
+                row[x * d * d + (a + d * b)] += 1.0   # mass of words (a, b)
+                row[x * d * d + (b + d * a)] -= 1.0   # mass of words (b, a)
+        a_rows.append(row)
+        b_vals.append(0.0)
+    for x in range(num_x):
+        row = np.zeros(n_var)
+        row[x * d * d:(x + 1) * d * d] = 1.0
+        a_rows.append(row)
+        b_vals.append(float(mu.weights[x]))
+    a_eq = np.array(a_rows)
+    b_eq = np.array(b_vals)
+    rank = np.linalg.matrix_rank(a_eq, tol=1e-12)
+
+    obj = cost.values.reshape(-1)
+    best_value = None
+    best_q = None
+    for basis in combinations(range(n_var), rank):
+        sub = a_eq[:, basis]
+        if np.linalg.matrix_rank(sub, tol=1e-12) < rank:
+            continue
+        q_b, *_ = np.linalg.lstsq(sub, b_eq, rcond=None)
+        if np.abs(sub @ q_b - b_eq).max() > 1e-10:
+            continue
+        if (q_b < -1e-10).any():
+            continue
+        q = np.zeros(n_var)
+        q[list(basis)] = np.clip(q_b, 0.0, None)
+        value = float(obj @ q)
+        if best_value is None or value > best_value + 1e-15:
+            best_value = value
+            best_q = q
+    if best_value is None:
+        raise ConvergenceError("vertex enumeration found no feasible basis")
+    return PrimalLPResult(best_value, best_q.reshape(num_x, d * d))

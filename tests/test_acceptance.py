@@ -42,7 +42,6 @@ from ergotrans.zerotemp import (
     default_beta_grid,
     karp_value,
     maxplus_lift,
-    primal_lp_oracle,
     subaction_solve,
     zero_temp_constrained,
     zero_temp_unconstrained,
@@ -56,6 +55,7 @@ from conftest import (
     dense_q,
     make_two_state_cost,
     perron_solve,
+    primal_lp_oracle,
     random_cost,
     random_marginal,
     random_markov_measure,

@@ -182,6 +182,19 @@ def test_entropy_product_with_periodic_orbit():
     assert entropy(plan) == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+def test_periodic_orbit_with_recurring_block_needs_longer_blocks():
+    # at block_len 1 the symbol 1 of [1, 0, 1] (and 0 of [0, 0, 1]) is
+    # followed by both symbols; blocks of length 2 tell the positions apart
+    for word in ([1, 0, 1], [0, 0, 1]):
+        with pytest.raises(SpecValidationError, match="needs blocks longer than 1"):
+            periodic_orbit_measure(word, 2, 1)
+        nu = periodic_orbit_measure(word, 2, 2)
+        blocks = [encode_word([word[(i + j) % 3] for j in range(2)], 2) for i in range(3)]
+        assert np.array_equal(nu.p[blocks], np.full(3, 1.0 / 3.0))
+        assert nu.p.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(nu.push(nu.p) - nu.p).max() <= 1e-15
+
+
 def test_entropy_two_atom_plan():
     assert entropy(two_atom_plan()) == pytest.approx(0.0, abs=1e-12)
 

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from ergotrans.report import render_report
 
@@ -183,3 +184,107 @@ def test_action_layout_transition_renders_as_dense_matrix():
             assert text == render_report(dense)
             if measure.n_blocks <= 64:
                 assert text == legacy_render_report(dense)
+
+
+TABLE_SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+                 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]
+
+
+def _word_digits(d, depth):
+    return np.arange(d**depth)[:, None] // d ** np.arange(depth) % d
+
+
+def _table_masses(rng, num_x, n_words):
+    masses = rng.random((num_x, n_words)) * 10.0 ** rng.integers(-12, 2, size=(num_x, n_words))
+    picks = rng.random((num_x, n_words)) < 0.2
+    masses[picks] = rng.choice(TABLE_SPECIAL, size=int(picks.sum()))
+    return masses
+
+
+def _legacy_triples(digits, masses):
+    """The ``[x, word, mass]`` list that plan exports used to hand over."""
+    words = digits.tolist()
+    return [[x, word, mass] for x, row in enumerate(masses.tolist())
+            for word, mass in zip(words, row)]
+
+
+def _at_three_indents(value):
+    return {"masses": value, "deep": {"plan": {"masses": value}}, "listed": [value, 0.5]}
+
+
+def test_cylinder_table_renders_as_legacy_triples():
+    from ergotrans.report import CylinderTable
+
+    rng = np.random.default_rng(91)
+    case = 0
+    for d, max_depth in ((2, 12), (3, 7), (4, 6)):  # up to 4096 words
+        for depth in range(1, max_depth + 1):
+            num_x = 1 + case % 3
+            digits = _word_digits(d, depth)
+            masses = _table_masses(rng, num_x, d**depth)
+            table, legacy = CylinderTable(digits, masses), _legacy_triples(digits, masses)
+            if d**depth <= 256:
+                tree, legacy_tree = _at_three_indents(table), _at_three_indents(legacy)
+            else:  # one indent per large table, cycling through the three
+                key = ("masses", "deep", "listed")[case % 3]
+                tree = {key: _at_three_indents(table)[key]}
+                legacy_tree = {key: _at_three_indents(legacy)[key]}
+            assert render_report(tree) == legacy_render_report(legacy_tree), (d, depth)
+            case += 1
+    empty = CylinderTable(np.zeros((0, 3), dtype=int), np.zeros((2, 0)))
+    assert render_report(_at_three_indents(empty)) == legacy_render_report(_at_three_indents([]))
+
+
+def test_cylinder_table_is_the_sequence_of_triples():
+    from ergotrans.report import CylinderTable
+
+    rng = np.random.default_rng(92)
+    digits = _word_digits(3, 2)
+    masses = rng.random((2, 9))
+    table, legacy = CylinderTable(digits, masses), _legacy_triples(digits, masses)
+    assert len(table) == len(legacy) == 18
+    assert list(table) == legacy
+    assert [table[i] for i in range(-18, 18)] == legacy + legacy
+    assert table[np.int64(10)] == legacy[10] and type(table[10][2]) is float
+    for index in (18, -19):
+        with pytest.raises(IndexError):
+            table[index]
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        CylinderTable(-digits, masses)
+    with pytest.raises(ValueError, match="do not match"):
+        CylinderTable(digits, masses[:, :8])
+
+
+def test_float_batches_format_as_single_floats():
+    from ergotrans.report import _format_float, _format_floats
+
+    rng = np.random.default_rng(93)
+    bits = rng.integers(0, 2**63, size=5000, dtype=np.uint64) * np.uint64(2)
+    bits[::2] += np.uint64(1)  # both signs
+    values = np.concatenate((bits.view(np.float64), TABLE_SPECIAL))
+    assert _format_floats(values) == [_format_float(v) for v in values.tolist()]
+    assert _format_floats(np.zeros(0)) == []
+
+
+def test_plan_export_renders_as_its_nested_lists():
+    from conftest import random_plan
+
+    from ergotrans.plans import export_plan
+
+    rng = np.random.default_rng(94)
+    for num_x, d, m in ((1, 2, 2), (2, 2, 5), (3, 3, 3), (2, 4, 3), (2, 2, 11)):
+        plan = random_plan(rng, num_x, d, m)
+        for depth in (1, m, m + 1):
+            out = export_plan(plan, depth)
+            lists = {"depth": out["depth"], "masses": list(out["masses"]),
+                     "jacobian": plan.jacobian.tolist()}
+            assert isinstance(out["jacobian"], np.ndarray)
+            text = render_report({"plan": out})
+            assert text == render_report({"plan": lists})
+            if d**depth <= 512:
+                assert text == legacy_render_report({"plan": lists})
+    for shape in ((1, 2, 1), (2, 2, 8), (3, 2, 9), (2, 3, 40), (2, 4, 300)):
+        jacobian = _random_float_array(rng, shape)  # with -0.0, nan, inf, 1e-300
+        text = render_report({"jacobian": jacobian})
+        assert text == render_report({"jacobian": jacobian.tolist()})
+        assert text == legacy_render_report({"jacobian": jacobian})

@@ -33,7 +33,6 @@ from ergotrans.zerotemp import (
     default_beta_grid,
     karp_value,
     maxplus_lift,
-    primal_lp_oracle,
     zero_temp_constrained,
 )
 
@@ -41,6 +40,7 @@ from conftest import (
     assemble_transfer,
     dense_q,
     perron_solve,
+    primal_lp_oracle,
     random_cost,
     random_marginal,
     scaled_dense_log_perron,
@@ -287,3 +287,61 @@ def test_import_of_cli_leaves_scipy_unloaded():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
     assert done.stdout.strip() == "False"
+
+
+SPARSE_SIZES = [(2, 256), (2, 512), (2, 1024), (2, 2048), (2, 4096),
+                (3, 729), (3, 2187), (4, 256), (4, 1024), (4, 4096)]
+
+
+@pytest.mark.parametrize("d, n", SPARSE_SIZES)
+def test_sparse_solve_reuses_pattern_bit_identically(monkeypatch, d, n):
+    # the matrix handed to SuperLU equals the triplet build array for array,
+    # explicit zeros included, so the factors and the solves are the same
+    import scipy.sparse.linalg
+
+    from conftest import bordered_triplet_matrix
+
+    rng = np.random.default_rng(d * n)
+    succ = successor_table(d, n)
+    weights = rng.uniform(0.0, 1.0, size=(n, d)) * 10.0 ** rng.uniform(-20, 0, size=(n, d))
+    weights[rng.random((n, d)) < 0.05] = 0.0
+    weights[np.arange(n), rng.integers(0, d, size=n)] += 0.5  # every row escapes
+    weights /= weights.sum(axis=1)[:, None]
+    rhs = rng.normal(size=n)
+    factored = []
+    splu = scipy.sparse.linalg.splu
+
+    def capture(matrix, *args, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", capture)
+    reference = bordered_triplet_matrix(weights, succ)
+    for transpose in (False, True):
+        try:
+            x = transfer._bordered_solve(weights, succ, rhs, transpose=transpose)
+        except ConvergenceError:
+            x = None  # the same matrix must then be singular for SuperLU too
+        matrix = factored.pop()
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix, field), getattr(reference, field))
+        if x is None:
+            with pytest.raises(RuntimeError, match="singular"):
+                splu(reference)
+        else:
+            expected = splu(reference).solve(rhs, trans="T" if transpose else "N")
+            assert np.array_equal(x, expected)
+    assert transfer._bordered_pattern(d, n) is transfer._bordered_pattern(d, n)
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_singular_sparse_solve_raises_convergence_error(transpose):
+    # absorbing blocks 0 (a=0) and n-1 (a=1): two closed classes
+    d, n = 2, 256
+    succ = successor_table(d, n)
+    weights = np.full((n, d), 0.5)
+    weights[0] = (1.0, 0.0)
+    weights[n - 1] = (0.0, 1.0)
+    with pytest.raises(ConvergenceError) as info:
+        transfer._bordered_solve(weights, succ, np.ones(n), transpose=transpose)
+    assert info.value.residual == 1.0

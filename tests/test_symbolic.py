@@ -11,12 +11,11 @@ from ergotrans.symbolic import (
     build_problem,
     decode_word,
     encode_word,
-    evaluate_cost,
     lift_depth,
 )
 from ergotrans.transfer import pressure
 
-from conftest import random_cost
+from conftest import evaluate_cost, random_cost
 
 
 def test_encode_decode_round_trip():

@@ -14,13 +14,18 @@ from ergotrans.zerotemp import (
     default_beta_grid,
     karp_value,
     maxplus_lift,
-    primal_lp_oracle,
     subaction_solve,
     zero_temp_constrained,
     zero_temp_unconstrained,
 )
 
-from conftest import dense_tropical, random_cost, random_marginal, survey_draw
+from conftest import (
+    dense_tropical,
+    primal_lp_oracle,
+    random_cost,
+    random_marginal,
+    survey_draw,
+)
 
 
 def enumerate_cycle_means(tropical):
