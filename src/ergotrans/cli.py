@@ -44,9 +44,10 @@ VERBS = ("pressure", "gibbs", "entropy", "dual", "zerotemp", "certify")
 def _plan_from_spec(spec):
     """Optional plan section: jacobian (x, a, b) flat, q and p over blocks.
 
-    ``q`` is the dense ``(successor, block)`` matrix; it is read on the
-    successor pattern into the action layout, and every entry off that
-    pattern must be 0.
+    ``jacobian`` is read into the plan's ``[x, b, a]`` layout as a
+    transposed view.  ``q`` is the dense ``(successor, block)`` matrix; it
+    is read on the successor pattern into the action layout, and every
+    entry off that pattern must be 0.
     """
     doc = spec.extras.get("plan")
     if doc is None:
@@ -58,6 +59,7 @@ def _plan_from_spec(spec):
         q = np.asarray(doc["q"], dtype=float).reshape(n_blocks, n_blocks)
         p = np.asarray(doc["p"], dtype=float).reshape(n_blocks)
         jac = np.asarray(doc["jacobian"], dtype=float).reshape(spec.num_x, d, n_blocks)
+        jac = jac.transpose(0, 2, 1)
     except (KeyError, ValueError) as exc:
         raise SpecValidationError(f"invalid plan section: {exc}") from exc
     q_ab = q[successor_table(d, n_blocks), np.arange(n_blocks)[:, None]]

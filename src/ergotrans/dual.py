@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, ConvergenceError, SpecValidationError
-from .plans import entropy, gibbs_plan, integrate_cost, marginal_x
+from .plans import FiniteMemoryPlan, entropy, gibbs_plan, integrate_cost, marginal_x
 from .symbolic import CostTensor, Marginal
 from .transfer import (
+    MarkovMeasure,
     action_view,
     effective_cost,
     gibbs_chain,
@@ -55,6 +56,7 @@ __all__ = [
 PRESSURE_RESIDUAL_TOL = 1e-9
 MARGINAL_RESIDUAL_TOL = 1e-7
 GRAD_TOL = 1e-10
+MAX_ITER = 500
 # first trial of a line search moves the potential by at most this much; on
 # strongly scaled costs the flanks of F are nearly flat, so an uncapped
 # Newton step lands far across the kink
@@ -82,17 +84,15 @@ class _Evaluation:
 
     One ``normalize_cost`` of ``c + phi`` and its Gibbs chain give ``F``
     and the gradient; the Hessian costs one more (Poisson) solve on the
-    same chain.
+    same chain, and the certificate's plan is built from the same arrays.
     """
 
     def __init__(self, cost, phi, mu_w):
         self.phi = phi
         self.normalized = normalize_cost(shift_cost(cost, phi))
         self.value = float(-(mu_w * phi).sum() + self.normalized.log_lambda)
-        self._weights, self._succ, p = gibbs_chain(self.normalized)
-        jac = np.exp(action_view(self.normalized.cost))  # J(x, a | b) at [x, b, a]
-        self._jac = jac / jac.sum(axis=(0, 2))[None, :, None]
-        self._mass = self._jac * p[None, :, None]
+        self._jac, self._weights, self._succ, self._p = gibbs_chain(self.normalized)
+        self._mass = self._jac * self._p[None, :, None]
         self._marg = self._mass.sum(axis=(1, 2))
         self.grad = self._marg - mu_w
         self.residual = float(np.abs(self.grad).max())
@@ -139,16 +139,18 @@ class DualSolution:
     iterations: int
 
 
-def _certify(cost, point, mu, iterations, pressure_tol, marginal_tol):
+def _certify(cost, point, mu, iterations, marginal_tol):
     """Certify the solver's last evaluation of ``c + phi``.
 
     The Gibbs plan does not depend on the gauge, so the marginal and the
-    duality gap come from the plan the solver evaluated; only the pressure
-    residual and ``psi`` are taken at ``c - phi_tilde``.
+    duality gap come from the plan the solver evaluated, built from its
+    chain; only the pressure residual and ``psi`` are taken at
+    ``c - phi_tilde``.
     """
     phi_tilde = point.normalized.log_lambda - point.phi
     log_lam, psi, _, _ = log_perron(shift_cost(cost, -phi_tilde))
-    plan = gibbs_plan(point.normalized)
+    nu = MarkovMeasure(point._weights, point._p, cost.alphabet_size)
+    plan = FiniteMemoryPlan(point._jac, nu, cost.depth)
     pressure_residual = abs(log_lam)
     marginal_residual = float(np.abs(marginal_x(plan) - mu.weights).max())
     duality_gap = abs(point.value - (integrate_cost(plan, cost) + entropy(plan)))
@@ -161,7 +163,7 @@ def _certify(cost, point, mu, iterations, pressure_tol, marginal_tol):
         duality_gap=float(duality_gap),
         iterations=int(iterations),
     )
-    if pressure_residual > pressure_tol or marginal_residual > marginal_tol:
+    if pressure_residual > PRESSURE_RESIDUAL_TOL or marginal_residual > marginal_tol:
         raise CertificateError(
             f"dual certificate failed: pressure residual {pressure_residual:.3e}, "
             f"marginal residual {marginal_residual:.3e}",
@@ -175,8 +177,7 @@ def _certify(cost, point, mu, iterations, pressure_tol, marginal_tol):
     return solution
 
 
-def solve_dual(cost, mu, grad_tol=GRAD_TOL, max_iter=500, v0=None,
-               pressure_tol=PRESSURE_RESIDUAL_TOL,
+def solve_dual(cost, mu, grad_tol=GRAD_TOL, v0=None,
                marginal_tol=MARGINAL_RESIDUAL_TOL,
                allow_resolution_stall=False):
     """Minimize F on the gauge slice phi(0) = 0 and certify the minimizer.
@@ -188,7 +189,9 @@ def solve_dual(cost, mu, grad_tol=GRAD_TOL, max_iter=500, v0=None,
     too small to move the potential), and brackets the step length on the
     sign of the directional derivative, which is monotone because F is
     convex.  Values of F are never compared: on strongly scaled costs
-    they drown in float noise.  The returned solution carries the
+    they drown in float noise.  At most ``MAX_ITER`` Newton steps run, and
+    the certificate requires a pressure residual within
+    ``PRESSURE_RESIDUAL_TOL``.  The returned solution carries the
     zero-pressure gauge; ``iterations`` counts Newton steps.
 
     Parameters
@@ -198,10 +201,10 @@ def solve_dual(cost, mu, grad_tol=GRAD_TOL, max_iter=500, v0=None,
         Full-support x-marginal (full support gives coercivity).
     grad_tol : float
         Sup-norm tolerance on the full marginal gradient.
-    max_iter : int
-        Cap on Newton iterations.
     v0 : array, optional
         Warm start for the free components phi(1), ..., phi(k).
+    marginal_tol : float
+        Tolerance of the certificate's marginal residual.
     allow_resolution_stall : bool
         On strongly scaled costs the constrained marginal can sweep its
         whole range across a potential window narrower than one float ulp,
@@ -230,12 +233,12 @@ def solve_dual(cost, mu, grad_tol=GRAD_TOL, max_iter=500, v0=None,
     point = _Evaluation(cost, np.concatenate(([0.0], v)), mu.weights)
     iterations = 0
     while point.residual > grad_tol and point.grad[1:].any():
-        if iterations == max_iter:
+        if iterations == MAX_ITER:
             raise ConvergenceError(
-                f"dual solve exhausted {max_iter} iterations "
+                f"dual solve exhausted {MAX_ITER} iterations "
                 f"(gradient {point.residual:.3e})",
                 residual=point.residual,
-                iterations=max_iter,
+                iterations=MAX_ITER,
             )
         iterations += 1
         step = _newton_step(point)
@@ -254,7 +257,7 @@ def solve_dual(cost, mu, grad_tol=GRAD_TOL, max_iter=500, v0=None,
             )
         marginal_tol = max(marginal_tol, jump)
         break
-    return _certify(cost, point, mu, iterations, pressure_tol, marginal_tol)
+    return _certify(cost, point, mu, iterations, marginal_tol)
 
 
 def _newton_step(point):

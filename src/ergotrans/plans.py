@@ -8,7 +8,12 @@ support) together with the block-Markov y-marginal.  The cylinder law
 
 determines every cylinder mass; shorter cylinders are sums over
 completions.  Entries of ``J`` on unsupported blocks are conventional
-placeholders (uniform), never consulted through the measure.
+placeholders, never consulted through the measure.
+
+``J`` is stored as ``J[x, b, a]``, the action layout of the cost and of
+``q[b, a]``; the word ``a.w`` has index ``a + d*w``, the C order of
+``(w, a)``, so every cylinder table is a reshape.  Reports and problem
+documents keep the ``(x, a, block)`` order of ``J``.
 """
 
 from __future__ import annotations
@@ -23,9 +28,8 @@ from .symbolic import CostTensor, Marginal, encode_word, lift_depth
 from .transfer import (
     MarkovMeasure,
     NormalizedCost,
-    action_view,
     effective_cost,
-    gibbs_measure,
+    gibbs_chain,
     normalize_cost,
     nu_cylinder,
     nu_cylinder_table,
@@ -53,9 +57,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteMemoryPlan:
-    """Plan encoded by a Jacobian tensor ``jacobian[x, a, b]`` and its y-marginal.
+    """Plan encoded by a Jacobian tensor ``jacobian[x, b, a] = J(x, a | b)`` and its y-marginal.
 
-    Invariants, enforced on the marginal's support:
+    The Jacobian is in the action layout of ``nu.q[b, a]``.  Invariants,
+    enforced on the marginal's support:
 
     * ``sum_{x,a} J(x, a | b) = 1`` (local mass law),
     * ``sum_x J(x, a | b) = q[b, a]`` (the y-marginal is exactly the block
@@ -76,20 +81,20 @@ class FiniteMemoryPlan:
             raise SpecValidationError(
                 f"marginal has {n_blocks} blocks, expected {d ** (self.memory - 1)}"
             )
-        if jac.ndim != 3 or jac.shape[1:] != (d, n_blocks):
+        if jac.ndim != 3 or jac.shape[1:] != (n_blocks, d):
             raise SpecValidationError(
-                f"jacobian has shape {jac.shape}, expected (num_x, {d}, {n_blocks})"
+                f"jacobian has shape {jac.shape}, expected (num_x, {n_blocks}, {d})"
             )
         if not np.isfinite(jac).all() or (jac < -1e-15).any():
             raise SpecValidationError("jacobian entries must be finite and nonnegative")
         jac = np.clip(jac, 0.0, None)
         sup = self.nu.support
-        row = jac[:, :, sup].sum(axis=(0, 1))
+        row = jac[:, sup].sum(axis=(0, 2))
         if row.size and np.abs(row - 1.0).max() > 1e-12:
             raise SpecValidationError(
                 f"jacobian mass law violated by {np.abs(row - 1.0).max():.3e}"
             )
-        defect = np.abs(jac.sum(axis=0).T - self.nu.q)[sup, :]
+        defect = np.abs(jac.sum(axis=0) - self.nu.q)[sup]
         if defect.size and defect.max() > 1e-12:
             raise SpecValidationError(
                 f"jacobian x-sum disagrees with y-marginal chain by {defect.max():.3e}"
@@ -110,15 +115,12 @@ def gibbs_plan(normalized):
     """The plan fixed by the extended dual operator of a normalized cost.
 
     Its Jacobian is exactly ``exp(cbar)`` and its y-marginal is the
-    invariant measure of the normalized block chain; the support is every
-    cylinder.
+    invariant measure of the normalized block chain (both from
+    ``gibbs_chain``); the support is every cylinder.
     """
-    cost = normalized.cost
-    jac = np.exp(action_view(cost)).transpose(0, 2, 1)
-    # remove the eigendata roundoff drift so downstream invariants are exact
-    jac = jac / jac.sum(axis=(0, 1))[None, None, :]
-    nu = gibbs_measure(normalized)
-    return FiniteMemoryPlan(jac, nu, cost.depth)
+    jac, weights, _, p = gibbs_chain(normalized)
+    return FiniteMemoryPlan(jac, MarkovMeasure(weights, p, normalized.alphabet_size),
+                            normalized.depth)
 
 
 def equilibrium_plan(cost):
@@ -136,7 +138,7 @@ def product_plan(mu, nu):
     """Independent coupling of an x-marginal and an invariant y-marginal."""
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
-    jac = mu.weights[:, None, None] * nu.q.T[None, :, :]
+    jac = mu.weights[:, None, None] * nu.q[None, :, :]
     memory = nu.block_len + 1
     return FiniteMemoryPlan(jac, nu, memory)
 
@@ -146,19 +148,17 @@ def plan_mass_table(plan, length):
 
     Returns an array of shape ``(num_x, d**length)`` in canonical word
     order; each row set sums to the x-marginal and the whole table to 1.
+    From the memory on it is ``J[x, head(w), a] * nu([w])`` over ``(x, w, a)``.
     """
     if length < 1:
         raise SpecValidationError("cylinder length must be >= 1")
-    d = plan.alphabet_size
     m = plan.memory
-    n_blocks = plan.nu.n_blocks
     if length >= m:
         tail = nu_cylinder_table(plan.nu, length - 1)
-        idx = np.arange(d**length)
-        return plan.jacobian[:, idx % d, (idx // d) % n_blocks] * tail[idx // d][None, :]
+        jac = plan.jacobian[:, np.arange(tail.size) % plan.nu.n_blocks]
+        return (jac * tail[None, :, None]).reshape(plan.num_x, -1)
     full = plan_mass_table(plan, m)
-    step = d**length
-    return full.reshape(full.shape[0], -1, step).sum(axis=1)
+    return full.reshape(plan.num_x, -1, plan.alphabet_size**length).sum(axis=1)
 
 
 def plan_cylinder(plan, x, word):
@@ -173,7 +173,7 @@ def plan_cylinder(plan, x, word):
     idx = encode_word(word, d)
     if n >= m:
         head = (idx // d) % plan.nu.n_blocks
-        return float(plan.jacobian[x, idx % d, head] * nu_cylinder(plan.nu, word[1:]))
+        return float(plan.jacobian[x, head, idx % d] * nu_cylinder(plan.nu, word[1:]))
     table = plan_mass_table(plan, n)
     return float(table[x, idx])
 
@@ -187,21 +187,20 @@ def jacobian_n(plan, n):
     """
     if n < 0:
         raise SpecValidationError("jacobian depth must be >= 0")
-    d = plan.alphabet_size
-    masses = plan_mass_table(plan, n + 1)
+    num_x = plan.num_x
+    masses = plan_mass_table(plan, n + 1).reshape(num_x, -1, plan.alphabet_size)  # [x, tail, a]
     tails = nu_cylinder_table(plan.nu, n)
-    denom = tails[np.arange(d ** (n + 1)) // d]
     out = np.full(masses.shape, np.nan)
-    ok = denom > 0.0
-    out[:, ok] = masses[:, ok] / denom[ok][None, :]
-    return out
+    ok = tails > 0.0
+    out[:, ok] = masses[:, ok] / tails[ok][None, :, None]
+    return out.reshape(num_x, -1)
 
 
 def entropy(plan):
     """Entropy ``-integral(log J)`` of a finite-memory plan, with 0 log 0 = 0."""
     jac = plan.jacobian
     terms = np.where(jac > 0.0, jac * np.log(np.where(jac > 0.0, jac, 1.0)), 0.0)
-    return float(-(terms.sum(axis=(0, 1)) * plan.nu.p).sum())
+    return float(-(terms.sum(axis=(0, 2)) * plan.nu.p).sum())
 
 
 def integrate_cost(plan, cost):
@@ -258,17 +257,14 @@ def smoothed_log_jacobian(plan, eps, n):
             out[:, v, :][~null] = np.log(ratios[~null] - n_null * eps)
         else:
             out[:, v, :] = np.log(ratios)
-    # word index of a.v is a + d*v: reassemble the flat canonical layout
-    values = np.empty((num_x, d ** (n + 1)))
-    idx = np.arange(d ** (n + 1))
-    values[:, idx] = out[:, idx // d, idx % d]
-    tensor = CostTensor(values, d, n + 1)
+    # word index of a.v is a + d*v, the C order of (v, a)
+    tensor = CostTensor(out.reshape(num_x, -1), d, n + 1)
     return NormalizedCost(tensor, 0.0, np.zeros(d**n))
 
 
 def marginal_x(plan):
     """x-marginal of the plan (sums of level-1 cylinder masses)."""
-    return (plan.jacobian * plan.nu.p[None, None, :]).sum(axis=(1, 2))
+    return (plan.jacobian * plan.nu.p[None, :, None]).sum(axis=(1, 2))
 
 
 def marginal_y(plan):
@@ -332,7 +328,8 @@ def export_plan(plan, depth=None):
 
     ``masses`` is a ``CylinderTable``, the sequence of ``[x, word, mass]``
     triples over every word of length ``depth`` in canonical order, x
-    outer; ``jacobian`` is the plan's ``(x, a, block)`` array.  Both render
+    outer; ``jacobian`` is the plan's Jacobian in the ``(x, a, block)``
+    order of reports, a transposed view of ``J[x, b, a]``.  Both render
     exactly as the nested lists they stand for.
     """
     if depth is None:
@@ -343,5 +340,5 @@ def export_plan(plan, depth=None):
     return {
         "depth": int(depth),
         "masses": CylinderTable(digits, plan_mass_table(plan, depth)),
-        "jacobian": plan.jacobian,
+        "jacobian": plan.jacobian.transpose(0, 2, 1),
     }

@@ -158,37 +158,24 @@ class Marginal:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated problem instance: dimensions, cost, optional mu and beta grid."""
+    """Problem instance from ``build_problem``; its dimensions are the cost's."""
 
-    num_x: int
-    alphabet_size: int
-    depth: int
     cost: CostTensor
     mu: Marginal | None = None
     beta_grid: tuple[float, ...] | None = None
     extras: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.num_x < 1:
-            raise SpecValidationError("num_x must be >= 1")
-        if self.alphabet_size < 1:
-            raise SpecValidationError("alphabet_size must be >= 1")
-        if self.depth < 1:
-            raise SpecValidationError("depth must be >= 1")
-        if self.cost.num_x != self.num_x:
-            raise SpecValidationError(
-                f"cost has {self.cost.num_x} x-rows, spec declares num_x={self.num_x}"
-            )
-        if self.cost.alphabet_size != self.alphabet_size or self.cost.depth != self.depth:
-            raise SpecValidationError("cost tensor dimensions disagree with spec fields")
-        if self.mu is not None and self.mu.size != self.num_x:
-            raise SpecValidationError(
-                f"mu has {self.mu.size} entries, expected num_x={self.num_x}"
-            )
-        if self.beta_grid is not None:
-            for b in self.beta_grid:
-                if not (np.isfinite(b) and b > 0):
-                    raise SpecValidationError(f"beta grid entry {b!r} is not a positive real")
+    @property
+    def num_x(self):
+        return self.cost.num_x
+
+    @property
+    def alphabet_size(self):
+        return self.cost.alphabet_size
+
+    @property
+    def depth(self):
+        return self.cost.depth
 
 
 _REQUIRED_FIELDS = ("num_x", "alphabet_size", "depth", "cost")
@@ -252,9 +239,12 @@ def build_problem(raw_spec):
     beta_grid = None
     if doc.get("beta_grid") is not None:
         beta_grid = tuple(float(b) for b in doc["beta_grid"])
+        for b in beta_grid:
+            if not (np.isfinite(b) and b > 0):
+                raise SpecValidationError(f"beta grid entry {b!r} is not a positive real")
 
     extras = {k: v for k, v in doc.items() if k not in set(_REQUIRED_FIELDS) | {"mu", "beta_grid"}}
-    return ProblemSpec(num_x, d, m, cost, mu, beta_grid, extras)
+    return ProblemSpec(cost, mu, beta_grid, extras)
 
 
 def load_problem(path):

@@ -22,7 +22,8 @@ per ``(d, n)``.  The stationary vector of the normalized chain and its
 Poisson equation are solves with the same bordered matrix
 (``gibbs_chain``, ``poisson_solve``).  Markov measures use the same
 action layout, ``q[b, a] = P(b -> succ(b, a))``: the normalized chain is
-stored as its ``n x d`` weights.
+stored as its ``n x d`` weights.  A word ``a.b`` has index ``a + d*b``,
+the C order of ``(b, a)``, so every cylinder table is a reshape.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "block_count",
     "action_view",
     "successor_table",
+    "reduced_cost",
     "normalize_cost",
     "pressure",
     "gibbs_chain",
@@ -70,6 +72,8 @@ SWITCH_STEPS = 40
 # weakly coupled classes by about one unit per step; some strongly scaled
 # d=3 costs shifted by a dual potential need 70-115.
 MAX_NEWTON = 120
+# Power steps per eigensolve, before Newton and after a failed Newton.
+POWER_STEP_BUDGET = 400
 
 
 def effective_cost(cost):
@@ -98,6 +102,12 @@ def successor_table(alphabet_size, n_blocks):
     b = np.arange(n_blocks)[:, None]
     a = np.arange(alphabet_size)[None, :]
     return (a + alphabet_size * b) % n_blocks
+
+
+def reduced_cost(ct, v, m):
+    """``ct[x, b, a] + v(succ(b, a)) - v(b) - m``, with ``m`` a scalar or one value per x."""
+    succ = successor_table(ct.shape[2], ct.shape[1])
+    return ct + v[succ][None, :, :] - v[None, :, None] - np.reshape(m, (-1, 1, 1))
 
 
 @functools.lru_cache(maxsize=32)
@@ -267,7 +277,7 @@ def _power_steps(ct, succ, u, steps, target, switch):
     return None, u, it
 
 
-def log_perron(cost, tol=DEFAULT_EIGEN_TOL, fast_iter=400):
+def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
     """Log-domain dominant eigendata: (log lambda, log h, residual, iterations).
 
     Never exponentiates the cost globally, so arbitrarily scaled costs
@@ -277,7 +287,7 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL, fast_iter=400):
 
     1. log-sum-exp power steps while their measured contraction projects
        certification within ``SWITCH_STEPS`` further steps (at most
-       ``fast_iter``);
+       ``POWER_STEP_BUDGET``);
     2. float max-plus policy iteration on ``max_x c`` (Howard), whose bias
        warm-starts Newton unless the power iterate is already the better
        start;
@@ -285,8 +295,8 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL, fast_iter=400):
        retried from the other start if it fails.
 
     If Newton fails from both starts (a singular bordered matrix, or a
-    stall on a nearly reducible chain), the rest of the ``fast_iter``
-    power-step budget runs from the best Newton iterate before
+    stall on a nearly reducible chain), the rest of the
+    ``POWER_STEP_BUDGET`` power steps run from the best Newton iterate before
     ``ConvergenceError`` is raised.  ``iterations`` counts power steps plus
     Newton steps.
     """
@@ -301,7 +311,7 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL, fast_iter=400):
         # unreachable; the tolerance scales with their magnitude
         return max(tol, 4e-15 * max(1.0, ct_scale, float(np.abs(u).max()), abs(log_lam)))
 
-    budget = range(1, fast_iter + 1)
+    budget = range(1, POWER_STEP_BUDGET + 1)
     done, u, it = _power_steps(ct, succ, np.zeros(n_blocks), budget, target, True)
     if done:
         return done
@@ -393,9 +403,7 @@ def normalize_cost(cost, tol=DEFAULT_EIGEN_TOL):
     """
     cost = effective_cost(cost)
     log_lam, u, _, _ = log_perron(cost, tol=tol)
-    ct = action_view(cost)
-    succ = successor_table(cost.alphabet_size, block_count(cost))
-    cbar = ct + u[succ][None, :, :] - u[None, :, None] - log_lam
+    cbar = reduced_cost(action_view(cost), u, log_lam)
     flat = cbar.reshape(cost.num_x, cost.word_count)
     return NormalizedCost(CostTensor(flat, cost.alphabet_size, cost.depth), log_lam, u)
 
@@ -514,10 +522,12 @@ def _log_gth_stationary(log_w, succ):
 
 
 def gibbs_chain(normalized):
-    """The normalized block chain: ``(weights, succ, p)``.
+    """The Gibbs data of a normalized cost: ``(jac, weights, succ, p)``.
 
-    ``weights[b, a] = sum_x exp(cbar(x, a.b))`` is the row-stochastic chain
-    ``P[b, succ[b, a]]`` and ``p`` its stationary vector.  A chain that is
+    The Gibbs plan's Jacobian ``jac[x, b, a] = exp(cbar(x, a.b))`` and the
+    row-stochastic chain ``P[b, succ[b, a]] = weights[b, a] = sum_x
+    exp(cbar(x, a.b))``, each renormalized against the eigendata's
+    roundoff, and ``p`` the chain's stationary vector.  A chain that is
     reducible in floats (escape probabilities that underflow) makes the
     bordered solve singular; up to ``DENSE_SOLVE_MAX`` blocks the log-domain
     GTH reduction then gives ``p``, above it the failure stands.
@@ -525,7 +535,9 @@ def gibbs_chain(normalized):
     cost = normalized.cost
     n_blocks = block_count(cost)
     ct = action_view(cost)
-    weights = np.exp(ct).sum(axis=0)
+    gibbs = np.exp(ct)
+    jac = gibbs / gibbs.sum(axis=(0, 2))[None, :, None]
+    weights = gibbs.sum(axis=0)
     weights = weights / weights.sum(axis=1)[:, None]
     succ = successor_table(cost.alphabet_size, n_blocks)
     try:
@@ -538,7 +550,7 @@ def gibbs_chain(normalized):
         row_mx = log_w.max(axis=1)[:, None]
         log_w -= row_mx + np.log(np.exp(log_w - row_mx).sum(axis=1))[:, None]
         p = _log_gth_stationary(log_w, succ)
-    return weights, succ, p
+    return jac, weights, succ, p
 
 
 def poisson_solve(weights, succ, rhs):
@@ -561,24 +573,24 @@ def gibbs_measure(normalized):
     chain is stochastic, so the dual fixed point is exactly the stationary
     block-Markov measure.
     """
-    weights, _, p = gibbs_chain(normalized)
+    _, weights, _, p = gibbs_chain(normalized)
     return MarkovMeasure(weights, p, normalized.alphabet_size)
 
 
 def nu_cylinder_table(measure, length):
-    """Masses of all cylinders of a given length, indexed canonically."""
-    d = measure.alphabet_size
+    """Masses of all cylinders of a given length, indexed canonically.
+
+    A level up, ``nu([a.w]) = q[head(w), a] * nu([w])`` is a ``(w, a)`` table.
+    """
     n_blocks = measure.n_blocks
     block_len = measure.block_len
     if length == 0:
         return np.array([1.0])
     if length <= block_len:
-        step = d**length
-        return measure.p.reshape(-1, step).sum(axis=0)
+        return measure.p.reshape(-1, measure.alphabet_size**length).sum(axis=0)
     table = measure.p
-    for n in range(block_len + 1, length + 1):
-        idx = np.arange(d**n)
-        table = measure.q[(idx // d) % n_blocks, idx % d] * table[idx // d]
+    for _ in range(block_len, length):
+        table = (measure.q[np.arange(table.size) % n_blocks] * table[:, None]).ravel()
     return table
 
 

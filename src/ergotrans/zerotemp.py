@@ -31,6 +31,7 @@ from .transfer import (
     effective_cost,
     log_perron,
     normalize_cost,
+    reduced_cost,
     successor_table,
 )
 from .dual import shift_cost, solve_dual
@@ -62,6 +63,14 @@ def default_beta_grid(beta_max=DEFAULT_BETA_MAX):
         grid.append(b)
         b *= 2.0
     return grid
+
+
+def _beta_grid(betas):
+    """``betas`` as floats, the default grid for None; positive and strictly increasing."""
+    betas = default_beta_grid() if betas is None else [float(b) for b in betas]
+    if any(b <= 0 for b in betas) or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
+        raise SpecValidationError("betas must be positive and strictly increasing")
+    return betas
 
 
 @dataclass(frozen=True)
@@ -129,12 +138,11 @@ def subaction_solve(tropical, m, cost=None):
             f"supplied mean {m!r} disagrees with the maximum cycle mean {float(m_frac)!r}"
         )
     v = calibrated_subaction(tropical.weights, tropical.succ, m_frac, cycle)
-    succ = tropical.succ
     if cost is not None:
         ct = action_view(effective_cost(cost))
     else:
         ct = tropical.weights[None, :, :]
-    expr = ct + v[succ][None, :, :] - v[None, :, None] - m
+    expr = reduced_cost(ct, v, m)
     per_state = expr.max(axis=(0, 2))
     return MaxPlusSolution(
         m=float(m),
@@ -178,11 +186,7 @@ def beta_sweep(cost, betas=None):
     at every beta.
     """
     cost = effective_cost(cost)
-    if betas is None:
-        betas = default_beta_grid()
-    betas = [float(b) for b in betas]
-    if any(b <= 0 for b in betas) or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise SpecValidationError("betas must be positive and strictly increasing")
+    betas = _beta_grid(betas)
     m = karp_value(maxplus_lift(cost))
     records = []
     for beta in betas:
@@ -273,23 +277,19 @@ class ConstrainedZeroTemp:
     records: list[BetaSweepRecord] = field(repr=False)
 
 
-def zero_temp_constrained(cost, mu, betas=None,
-                          mass_threshold=SUPPORT_MASS_THRESHOLD):
+def zero_temp_constrained(cost, mu, betas=None):
     """Constrained zero-temperature limit via warm-started dual solves.
 
     For each beta the dual problem for ``beta * c`` is solved (warm
     started along the grid); at the largest beta the scaled dual data must
     satisfy the subaction inequality everywhere, with near-equality on
-    every thresholded support entry.
+    every support entry, a plan cylinder of mass above
+    ``SUPPORT_MASS_THRESHOLD``.
     """
     cost = effective_cost(cost)
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
-    if betas is None:
-        betas = default_beta_grid()
-    betas = [float(b) for b in betas]
-    if any(b <= 0 for b in betas) or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise SpecValidationError("betas must be positive and strictly increasing")
+    betas = _beta_grid(betas)
 
     records = []
     v_warm = None
@@ -321,9 +321,7 @@ def zero_temp_constrained(cost, mu, betas=None,
     v_tilde = solution.psi / beta_max
     value = float((mu.weights * m_tilde).sum())
 
-    ct = action_view(cost)
-    succ = successor_table(cost.alphabet_size, block_count(cost))
-    expr = ct + v_tilde[succ][None, :, :] - v_tilde[None, :, None] - m_tilde[:, None, None]
+    expr = reduced_cost(action_view(cost), v_tilde, m_tilde)
     feasibility_residual = float(max(0.0, expr.max()))
     if feasibility_residual > 1e-9:
         x_w, b_w, a_w = np.unravel_index(int(expr.argmax()), expr.shape)
@@ -336,20 +334,12 @@ def zero_temp_constrained(cost, mu, betas=None,
     scaled = CostTensor(cost.values * beta_max, cost.alphabet_size, cost.depth)
     plan = gibbs_plan(normalize_cost(shift_cost(scaled, -solution.phi_tilde)))
     masses = plan_mass_table(plan, cost.depth)
-    d = cost.alphabet_size
-    n_blocks = block_count(cost)
-    support_plan = []
-    slackness = 0.0
-    idxs = np.arange(d**cost.depth)
-    for x in range(cost.num_x):
-        for w in idxs:
-            mass = float(masses[x, w])
-            if mass <= mass_threshold:
-                continue
-            word = decode_word(int(w), cost.depth, d)
-            support_plan.append((x, word, mass))
-            slackness = max(slackness, float(-expr[x, (w // d) % n_blocks, w % d]))
-    slack_tolerance = -np.log(mass_threshold) / beta_max + 1e-9
+    xs, ws = np.nonzero(masses > SUPPORT_MASS_THRESHOLD)
+    support_plan = [(x, decode_word(w, cost.depth, cost.alphabet_size), mass)
+                    for x, w, mass in zip(xs.tolist(), ws.tolist(), masses[xs, ws].tolist())]
+    # expr[x, b, a] is the reduced cost of the word a + d*b
+    slackness = max([0.0, *(-expr.reshape(cost.num_x, -1)[xs, ws]).tolist()])
+    slack_tolerance = -np.log(SUPPORT_MASS_THRESHOLD) / beta_max + 1e-9
     if slackness > slack_tolerance:
         raise CertificateError(
             f"support slackness residual {slackness:.3e} exceeds {slack_tolerance:.3e}",

@@ -5,8 +5,9 @@ power iteration for its Perron data, normalization against such data, and a
 least-squares stationary vector.  The package solves all of these in log
 domain on the block chain; the tests check it against these independent paths.
 The sparse bordered chain matrix built from triplets, a direct cost
-evaluation and the exact vertex-enumeration LP for the constrained
-zero-temperature limit are oracles kept here for the same reason.
+evaluation, the exact vertex-enumeration LP for the constrained
+zero-temperature limit, and cylinder tables built by word-index arithmetic
+(``idx % d``, ``idx // d``) are oracles kept here for the same reason.
 """
 
 import math
@@ -106,9 +107,9 @@ def random_markov_measure(rng, d, block_len):
 
 def random_plan(rng, num_x, d, m):
     """Generic fully supported finite-memory plan."""
-    raw = rng.uniform(0.1, 1.0, size=(num_x, d, d ** (m - 1)))
-    jac = raw / raw.sum(axis=(0, 1))[None, None, :]
-    q_ab = jac.sum(axis=0).T
+    raw = rng.uniform(0.1, 1.0, size=(num_x, d, d ** (m - 1))).transpose(0, 2, 1)
+    jac = raw / raw.sum(axis=(0, 2))[None, :, None]  # [x, b, a]
+    q_ab = jac.sum(axis=0)
     nu = MarkovMeasure(q_ab, stationary_vector(dense_chain(q_ab)), d)
     return FiniteMemoryPlan(jac, nu, m)
 
@@ -130,7 +131,7 @@ def copy_plan():
     nu = uniform_bernoulli_measure(2, 1)
     jac = np.zeros((2, 2, 2))
     for x in range(2):
-        jac[x, x, :] = 0.5
+        jac[x, :, x] = 0.5
     return FiniteMemoryPlan(jac, nu, 2)
 
 
@@ -138,8 +139,8 @@ def two_atom_plan():
     """Two atoms: (x=0, 0101...) and (x=1, 1010...), each mass 1/2."""
     nu = periodic_orbit_measure((0, 1), 2, 1)
     jac = np.zeros((2, 2, 2))
-    jac[0, 0, 1] = 1.0  # from block (1), prepend 0, first coordinate 0
-    jac[1, 1, 0] = 1.0
+    jac[0, 1, 0] = 1.0  # from block (1), prepend 0, first coordinate 0
+    jac[1, 0, 1] = 1.0
     # placeholder columns on unsupported blocks would go here; both blocks
     # are supported for this orbit, so nothing to fill
     return FiniteMemoryPlan(jac, nu, 2)
@@ -433,3 +434,68 @@ def primal_lp_oracle(cost, mu):
     if best_value is None:
         raise ConvergenceError("vertex enumeration found no feasible basis")
     return PrimalLPResult(best_value, best_q.reshape(num_x, d * d))
+
+
+# -- cylinder tables by word-index arithmetic ------------------------------
+# The word a.w has index idx = a + d*w, so a = idx % d and w = idx // d; the
+# package reads the same tables as reshapes of (w, a) arrays.
+
+def index_nu_cylinder_table(measure, length):
+    """``nu([w])`` for every word of ``length``, one level at a time."""
+    d, n_blocks, block_len = measure.alphabet_size, measure.n_blocks, measure.block_len
+    if length == 0:
+        return np.array([1.0])
+    if length <= block_len:
+        return measure.p.reshape(-1, d**length).sum(axis=0)
+    table = measure.p
+    for n in range(block_len + 1, length + 1):
+        idx = np.arange(d**n)
+        table = measure.q[(idx // d) % n_blocks, idx % d] * table[idx // d]
+    return table
+
+
+def index_plan_mass_table(plan, length):
+    """``pi([x, w])`` for every word of ``length``; shorter than the memory, by sums."""
+    d, m, n_blocks = plan.alphabet_size, plan.memory, plan.nu.n_blocks
+    if length >= m:
+        tail = index_nu_cylinder_table(plan.nu, length - 1)
+        idx = np.arange(d**length)
+        return plan.jacobian[:, (idx // d) % n_blocks, idx % d] * tail[idx // d][None, :]
+    full = index_plan_mass_table(plan, m)
+    return full.reshape(full.shape[0], -1, d**length).sum(axis=1)
+
+
+def index_jacobian_n(plan, n):
+    """``pi([x, y0..yn]) / nu([y1..yn])``, NaN over nu-null tails."""
+    d = plan.alphabet_size
+    masses = index_plan_mass_table(plan, n + 1)
+    tails = index_nu_cylinder_table(plan.nu, n)
+    denom = tails[np.arange(d ** (n + 1)) // d]
+    out = np.full(masses.shape, np.nan)
+    ok = denom > 0.0
+    out[:, ok] = masses[:, ok] / denom[ok][None, :]
+    return out
+
+
+def index_smoothed_log_jacobian(plan, eps, n):
+    """The values of ``plans.smoothed_log_jacobian``, reassembled word by word."""
+    d, num_x = plan.alphabet_size, plan.num_x
+    masses = index_plan_mass_table(plan, n + 1).reshape(num_x, d**n, d)  # [x, tail, a]
+    tails = index_nu_cylinder_table(plan.nu, n)
+    out = np.empty((num_x, d**n, d))
+    for v in range(d**n):
+        if tails[v] <= 0.0:
+            out[:, v, :] = -np.log(num_x * d)
+            continue
+        ratios = masses[:, v, :] / tails[v]
+        null = masses[:, v, :] == 0.0
+        n_null = int(null.sum())
+        if n_null:
+            out[:, v, :][null] = np.log((num_x * d - n_null) * eps)
+            out[:, v, :][~null] = np.log(ratios[~null] - n_null * eps)
+        else:
+            out[:, v, :] = np.log(ratios)
+    values = np.empty((num_x, d ** (n + 1)))
+    idx = np.arange(d ** (n + 1))
+    values[:, idx] = out[:, idx // d, idx % d]
+    return values

@@ -226,7 +226,7 @@ def test_criterion_6_jacobian_identities():
     neg_log_j = -integral_log_jacobian(plan, m - 1)
     idx = np.arange(2**m)
     log_j_flat = np.empty((2, 2**m))
-    log_j_flat[:, idx] = np.log(plan.jacobian)[:, idx % 2, (idx // 2) % plan.nu.n_blocks]
+    log_j_flat[:, idx] = np.log(plan.jacobian)[:, (idx // 2) % plan.nu.n_blocks, idx % 2]
     for _ in range(50):
         vals = random_normalized_values(rng, 2, 2, m)
         neg_b = -integrate_cost(plan, CostTensor(vals, 2, m))

@@ -63,6 +63,30 @@ def test_entropy_verb_two_atom_plan(capsys):
     assert abs(report["results"]["entropy"]) <= 1e-12
 
 
+def test_plan_section_reads_back_the_export():
+    import numpy as np
+
+    from conftest import dense_q, random_cost, random_plan, two_atom_plan
+    from ergotrans.cli import _plan_from_spec
+    from ergotrans.plans import entropy, export_plan, gibbs_plan
+    from ergotrans.symbolic import build_problem
+    from ergotrans.transfer import normalize_cost
+
+    rng = np.random.default_rng(96)
+    plans = [two_atom_plan(), random_plan(rng, 3, 3, 3), random_plan(rng, 1, 4, 2),
+             gibbs_plan(normalize_cost(random_cost(rng, 2, 2, 4)))]
+    for plan in plans:
+        d, m = plan.alphabet_size, plan.memory
+        section = {"jacobian": export_plan(plan)["jacobian"].ravel().tolist(),
+                   "q": dense_q(plan.nu).ravel().tolist(), "p": plan.nu.p.tolist()}
+        doc = {"num_x": plan.num_x, "alphabet_size": d, "depth": m,
+               "cost": [0.0] * (plan.num_x * d**m), "plan": section}
+        read = _plan_from_spec(build_problem(json.dumps(doc)))
+        assert read.jacobian.shape == plan.jacobian.shape
+        assert read.jacobian.tobytes() == plan.jacobian.tobytes()
+        assert entropy(read) == entropy(plan)
+
+
 def test_dual_verb_closed_form(capsys):
     assert main(["dual", "--spec", spec_path("zero_cost_mu.json")]) == 0
     report = json.loads(capsys.readouterr().out)

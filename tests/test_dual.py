@@ -214,6 +214,35 @@ def test_solve_dual_one_evaluation_per_newton_step(monkeypatch):
         assert sol.iterations <= 8
 
 
+def test_solve_dual_one_stationary_solve_per_evaluation(monkeypatch):
+    # the certificate's plan is built from the last evaluation's chain, so
+    # every stationary vector of a solve belongs to one normalization
+    from ergotrans import transfer
+
+    rng = np.random.default_rng(56)
+    counted = {"normalize_cost": 0, "_stationary": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(dual, "normalize_cost")
+    counting(transfer, "_stationary")
+    for num_x, d, m in ((2, 2, 5), (3, 2, 7), (2, 4, 4)):
+        c = random_cost(rng, num_x, d, m)
+        mu = random_marginal(rng, num_x)
+        counted.update(normalize_cost=0, _stationary=0)
+        sol = solve_dual(c, mu)
+        assert sol.marginal_residual <= 1e-10
+        assert counted["normalize_cost"] > 1
+        assert counted["_stationary"] == counted["normalize_cost"]
+
+
 def test_solve_dual_value_matches_grid_oracle():
     rng = np.random.default_rng(47)
     for _ in range(5):

@@ -29,6 +29,10 @@ from ergotrans.transfer import pressure
 from conftest import (
     copy_plan,
     dense_q,
+    index_jacobian_n,
+    index_nu_cylinder_table,
+    index_plan_mass_table,
+    index_smoothed_log_jacobian,
     random_cost,
     random_marginal,
     random_markov_measure,
@@ -51,7 +55,7 @@ def transfer_identity_sides(plan, x, word):
     lhs = 0.0
     n_blocks = plan.nu.n_blocks
     for v in range(tail_idx, d**length, step) if k > 1 else range(d**length):
-        lhs += plan.jacobian[x, word[0], v % n_blocks] * table[v]
+        lhs += plan.jacobian[x, v % n_blocks, word[0]] * table[v]
     rhs = plan_cylinder(plan, x, word)
     return lhs, rhs
 
@@ -88,7 +92,7 @@ def test_gibbs_plan_jacobian_is_exponential_of_cost(two_state_cost):
     nc = normalize_cost(two_state_cost)
     plan = gibbs_plan(nc)
     view = np.exp(nc.cost.values).reshape(2, 2, 2)
-    assert np.abs(plan.jacobian - view.transpose(0, 2, 1)).max() <= 1e-12
+    assert np.abs(plan.jacobian - view).max() <= 1e-12
 
 
 # --- cylinder masses -------------------------------------------------------
@@ -121,6 +125,42 @@ def test_plan_cylinder_agrees_with_table():
     for idx in (0, 5, 11, 26):
         word = decode_word(idx, 3, 3)
         assert plan_cylinder(plan, 1, word) == pytest.approx(table[1, idx], abs=1e-15)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _table_plans():
+    """Plans for d 2-4 and #X 1-3: generic, Gibbs, and with null cylinders."""
+    rng = np.random.default_rng(40)
+    plans = [two_atom_plan()]
+    for d, m in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3)):
+        for num_x in (1, 2, 3):
+            plans.append(random_plan(rng, num_x, d, m))
+        plans.append(gibbs_plan(normalize_cost(random_cost(rng, 2, d, m))))
+        word = [int(s) for s in rng.integers(0, d, size=m + 1)]
+        try:
+            nu = periodic_orbit_measure(word, d, m - 1)
+        except SpecValidationError:  # the orbit needs longer blocks
+            continue
+        plans.append(product_plan(random_marginal(rng, 3), nu))
+    return plans
+
+
+def test_cylinder_tables_equal_index_arithmetic_bit_for_bit():
+    for plan in _table_plans():
+        m = plan.memory
+        for length in range(m - 1, m + 4):
+            assert _same_bits(nu_cylinder_table(plan.nu, length),
+                              index_nu_cylinder_table(plan.nu, length))
+            assert _same_bits(plan_mass_table(plan, length), index_plan_mass_table(plan, length))
+            n = length - 1
+            if n >= 0:
+                assert _same_bits(jacobian_n(plan, n), index_jacobian_n(plan, n))
+            if n >= 1:
+                assert _same_bits(smoothed_log_jacobian(plan, 1e-9, n).cost.values,
+                                  index_smoothed_log_jacobian(plan, 1e-9, n))
 
 
 # --- finite-depth Jacobians ------------------------------------------------
@@ -346,13 +386,13 @@ def test_gibbs_optimality_inequality():
         if neg_b - neg_log_j <= 1e-10:
             jac_vals = np.log(plan.jacobian)
             idx = np.arange(2**m)
-            flat = jac_vals[:, idx % 2, idx // 2]
+            flat = jac_vals[:, idx // 2, idx % 2]
             assert np.abs(vals - flat).max() <= 1e-5
     # equality at b = log J exactly
     jac_vals = np.log(plan.jacobian)
     idx = np.arange(2**m)
     flat = np.empty((2, 2**m))
-    flat[:, idx] = jac_vals[:, idx % 2, (idx // 2) % plan.nu.n_blocks]
+    flat[:, idx] = jac_vals[:, (idx // 2) % plan.nu.n_blocks, idx % 2]
     b_star = CostTensor(flat, 2, m)
     assert -integrate_cost(plan, b_star) == pytest.approx(neg_log_j, abs=1e-10)
 

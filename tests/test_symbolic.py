@@ -107,6 +107,20 @@ def test_build_problem_zero_marginal_reports_index():
         })
 
 
+def test_build_problem_checks_the_document_fields():
+    base = {"num_x": 2, "alphabet_size": 3, "depth": 1, "cost": [0.0] * 6}
+    for change, message in (({"num_x": "two"}, "must be integers"),
+                            ({"depth": 0}, "must all be >= 1"),
+                            ({"mu": [1.0]}, "mu has 1 entries"),
+                            ({"beta_grid": [1.0, 0.0]}, "is not a positive real"),
+                            ({"beta_grid": [float("inf")]}, "is not a positive real")):
+        with pytest.raises(SpecValidationError, match=message):
+            build_problem({**base, **change})
+    spec = build_problem({**base, "beta_grid": [1, 2]})
+    assert (spec.num_x, spec.alphabet_size, spec.depth) == (2, 3, 1)
+    assert spec.beta_grid == (1.0, 2.0)
+
+
 def test_build_problem_missing_field():
     with pytest.raises(SpecValidationError, match="missing required field"):
         build_problem({"num_x": 2, "alphabet_size": 2, "depth": 2})
