@@ -60,13 +60,10 @@ from .zerotemp import (
     BetaSweepRecord,
     ConstrainedZeroTemp,
     MaxPlusSolution,
-    TropicalMatrix,
     UnconstrainedZeroTemp,
     beta_sweep,
     default_beta_grid,
-    karp_value,
-    maxplus_lift,
-    subaction_solve,
+    maxplus_solve,
     zero_temp_constrained,
     zero_temp_unconstrained,
 )

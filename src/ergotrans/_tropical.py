@@ -3,11 +3,11 @@
 ``karp_cycle_mean`` and ``calibrated_subaction`` run in Fraction space:
 double-precision floats are dyadic rationals, so sums, differences and means
 of weights are exact and the computed maximum cycle mean is the true maximum
-over the float inputs, bit for bit.  They carry the zero-temperature
-solvers.  ``howard_policy_iteration`` is the float counterpart (Howard's
-policy iteration, Cochet-Terrasson, Cohen, Gaubert, McGettrick & Quadrat,
-IFAC 1998): a few ``O(n*d)`` sweeps whose bias vector warm-starts the
-log-domain eigensolver at any inverse temperature.
+over the float inputs, bit for bit.  ``zerotemp.maxplus_solve`` runs both
+once per cost.  ``howard_policy_iteration`` is the float counterpart
+(Howard's policy iteration, Cochet-Terrasson, Cohen, Gaubert, McGettrick &
+Quadrat, IFAC 1998): a few ``O(n*d)`` sweeps whose bias vector warm-starts
+the log-domain eigensolver at any inverse temperature.
 """
 
 from __future__ import annotations

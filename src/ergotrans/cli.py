@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import sys
 import time
 
@@ -16,13 +17,7 @@ import numpy as np
 
 from .dual import eigencurve_conditions, slackness_certificate, solve_dual
 from .errors import CertificateError, ConvergenceError, SpecValidationError
-from .plans import (
-    FiniteMemoryPlan,
-    entropy,
-    equilibrium_plan,
-    export_plan,
-    gibbs_plan,
-)
+from .plans import FiniteMemoryPlan, entropy, export_plan, gibbs_plan
 from .symbolic import load_problem
 from .transfer import (
     MarkovMeasure,
@@ -39,6 +34,31 @@ from .zerotemp import (
 )
 
 VERBS = ("pressure", "gibbs", "entropy", "dual", "zerotemp", "certify")
+# a plan export holds #X * d**depth rows; the largest benchmark export is 3 * 2**12
+MAX_EXPORT_ROWS = 2**18
+# the least value of each numeric flag; a tolerance must also be nonzero
+FLAG_MINIMUM = {"tol_eigen": 0.0, "tol_dual": 0.0, "beta_max": 1.0, "depth": 1}
+
+
+def _check_flags(args):
+    """Reject flag values no verb can run with, before the spec is read."""
+    for dest, least in FLAG_MINIMUM.items():
+        value = getattr(args, dest)
+        if value is not None and not (math.isfinite(value) and value >= least and value):
+            need = f"at least {least}" if least else "positive"
+            raise SpecValidationError(f"--{dest.replace('_', '-')} must be finite and {need}, "
+                                      f"got {value!r}")
+
+
+def _export_depth(args, cost):
+    """The plan export depth, refused before any table of ``d**depth`` rows is built."""
+    depth = cost.depth if args.depth is None else args.depth
+    # past the cap's bit length every d >= 2 exceeds it, without forming d**depth
+    if (depth > MAX_EXPORT_ROWS.bit_length()
+            or cost.num_x * cost.alphabet_size**depth > MAX_EXPORT_ROWS):
+        raise SpecValidationError(f"a plan export at depth {depth} has more than "
+                                  f"{MAX_EXPORT_ROWS} rows of #X * d**depth")
+    return depth
 
 
 def _plan_from_spec(spec):
@@ -60,7 +80,7 @@ def _plan_from_spec(spec):
         p = np.asarray(doc["p"], dtype=float).reshape(n_blocks)
         jac = np.asarray(doc["jacobian"], dtype=float).reshape(spec.num_x, d, n_blocks)
         jac = jac.transpose(0, 2, 1)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecValidationError(f"invalid plan section: {exc}") from exc
     q_ab = q[successor_table(d, n_blocks), np.arange(n_blocks)[:, None]]
     if np.count_nonzero(q) != np.count_nonzero(q_ab):
@@ -102,10 +122,10 @@ def _transition_rows(measure):
 
 def _run_gibbs(spec, args):
     cost = effective_cost(spec.cost)
+    depth = _export_depth(args, cost)
     normalized = normalize_cost(cost, tol=args.tol_eigen)
     plan = gibbs_plan(normalized)
     measure = plan.nu
-    depth = args.depth if args.depth else cost.depth
     return {
         "pressure": normalized.log_lambda,
         "stationary": measure.p,
@@ -118,8 +138,9 @@ def _run_entropy(spec, args):
     plan = _plan_from_spec(spec)
     if plan is not None:
         return {"entropy": entropy(plan), "source": "plan"}
-    plan, value = equilibrium_plan(spec.cost)
-    return {"entropy": entropy(plan), "source": "equilibrium", "pressure": value}
+    normalized = normalize_cost(effective_cost(spec.cost), tol=args.tol_eigen)
+    return {"entropy": entropy(gibbs_plan(normalized)), "source": "equilibrium",
+            "pressure": normalized.log_lambda}
 
 
 def _require_mu(spec, verb):
@@ -224,13 +245,17 @@ def build_parser():
                     "zero-temperature limits.",
     )
     parser.add_argument("verb", choices=VERBS)
-    parser.add_argument("--spec", required=True, help="problem document (JSON)")
-    parser.add_argument("--out", help="write the report here instead of stdout")
-    parser.add_argument("--tol-eigen", type=float, default=1e-13, dest="tol_eigen")
-    parser.add_argument("--tol-dual", type=float, default=1e-7, dest="tol_dual")
-    parser.add_argument("--beta-max", type=float, default=None, dest="beta_max")
+    parser.add_argument("--spec", required=True, help="problem document (JSON); every verb")
+    parser.add_argument("--out", help="write the report here instead of stdout; every verb")
+    parser.add_argument("--tol-eigen", type=float, default=1e-13, dest="tol_eigen",
+                        help="eigensolve tolerance; read by pressure, gibbs and entropy")
+    parser.add_argument("--tol-dual", type=float, default=1e-7, dest="tol_dual",
+                        help="marginal tolerance of the dual solve; read by dual and certify")
+    parser.add_argument("--beta-max", type=float, default=None, dest="beta_max",
+                        help="last point of the grid 1, 2, 4, ...; read by zerotemp")
     parser.add_argument("--depth", type=int, default=None,
-                        help="cylinder depth for plan exports")
+                        help=f"cylinder depth of the plan export, #X * d**depth at most "
+                             f"{MAX_EXPORT_ROWS}; read by gibbs")
     return parser
 
 
@@ -239,6 +264,7 @@ def main(argv=None):
     started = time.perf_counter()
     exit_code = 0
     try:
+        _check_flags(args)
         spec, raw = load_problem(args.spec)
         digest = hashlib.sha256(raw).hexdigest()
         results = _RUNNERS[args.verb](spec, args)

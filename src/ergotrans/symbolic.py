@@ -181,6 +181,17 @@ class ProblemSpec:
 _REQUIRED_FIELDS = ("num_x", "alphabet_size", "depth", "cost")
 
 
+def _numbers(doc, name):
+    """``doc[name]`` as a float vector; it must be a list of numbers (not bools)."""
+    entries = doc[name]
+    if not (isinstance(entries, list) and set(map(type, entries)) <= {int, float}):
+        raise SpecValidationError(f"'{name}' must be a list of numbers")
+    try:
+        return np.array(entries, dtype=float)
+    except OverflowError as exc:
+        raise SpecValidationError(f"'{name}' has an entry beyond the float range") from exc
+
+
 def build_problem(raw_spec):
     """Parse and validate a problem document.
 
@@ -210,26 +221,25 @@ def build_problem(raw_spec):
         if name not in doc:
             raise SpecValidationError(f"missing required field '{name}'")
 
-    try:
-        num_x = int(doc["num_x"])
-        d = int(doc["alphabet_size"])
-        m = int(doc["depth"])
-    except (TypeError, ValueError) as exc:
-        raise SpecValidationError(f"dimension fields must be integers: {exc}") from exc
+    num_x, d, m = (doc[name] for name in _REQUIRED_FIELDS[:3])
+    if not all(type(v) is int for v in (num_x, d, m)):  # not "2", 2.5 or true
+        raise SpecValidationError("num_x, alphabet_size and depth must be integers")
     if num_x < 1 or d < 1 or m < 1:
         raise SpecValidationError("num_x, alphabet_size and depth must all be >= 1")
 
-    flat = np.asarray(doc["cost"], dtype=float).ravel()
-    n_words = d**m
-    if flat.size != num_x * n_words:
+    flat = _numbers(doc, "cost")
+    # d**m is only formed for a depth the entry count can match
+    n_words = flat.size // num_x
+    if flat.size % num_x or (d > 1 and m > n_words.bit_length()) or d**m != n_words:
         raise SpecValidationError(
-            f"cost has {flat.size} entries, expected num_x * alphabet_size**depth = {num_x * n_words}"
+            f"cost has {flat.size} entries, expected num_x * alphabet_size**depth = "
+            f"{num_x} * {d}**{m}"
         )
     cost = CostTensor(flat.reshape(num_x, n_words), d, m)
 
     mu = None
     if doc.get("mu") is not None:
-        mu_w = np.asarray(doc["mu"], dtype=float)
+        mu_w = _numbers(doc, "mu")
         if mu_w.size != num_x:
             raise SpecValidationError(
                 f"mu has {mu_w.size} entries, expected num_x={num_x}"
@@ -238,10 +248,12 @@ def build_problem(raw_spec):
 
     beta_grid = None
     if doc.get("beta_grid") is not None:
-        beta_grid = tuple(float(b) for b in doc["beta_grid"])
+        beta_grid = tuple(_numbers(doc, "beta_grid").tolist())
         for b in beta_grid:
             if not (np.isfinite(b) and b > 0):
                 raise SpecValidationError(f"beta grid entry {b!r} is not a positive real")
+    if doc.get("plan") is not None and not isinstance(doc["plan"], dict):
+        raise SpecValidationError("plan must be a key-value tree")
 
     extras = {k: v for k, v in doc.items() if k not in set(_REQUIRED_FIELDS) | {"mu", "beta_grid"}}
     return ProblemSpec(cost, mu, beta_grid, extras)

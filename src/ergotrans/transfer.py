@@ -438,8 +438,8 @@ class MarkovMeasure:
         if not np.isfinite(q).all() or (q < -1e-15).any():
             raise SpecValidationError("q entries must be finite and nonnegative")
         q = np.clip(q, 0.0, None)
-        if (p < -1e-15).any():
-            raise SpecValidationError("stationary vector has negative entries")
+        if not np.isfinite(p).all() or (p < -1e-15).any():
+            raise SpecValidationError("stationary vector entries must be finite and nonnegative")
         p = np.clip(p, 0.0, None)
         if abs(p.sum() - 1.0) > 1e-12:
             raise SpecValidationError(f"stationary vector sums to {p.sum()!r}")

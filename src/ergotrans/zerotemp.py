@@ -1,4 +1,4 @@
-"""Zero-temperature machinery: tropical eigendata, beta sweeps, constrained limits.
+"""Zero-temperature machinery: the exact max-plus solve, beta sweeps, constrained limits.
 
 The scaled family ``beta * c`` concentrates, as ``beta`` grows, on plans
 maximizing ``integral(c)``.  The exact side of the limit is a max-plus
@@ -8,9 +8,11 @@ and the subaction solves the tropical fixed point
 
     V(b) = max_{x,a} [ c(x, a.b) - m + V(succ(b, a)) ].
 
-Cycle means and the fixed point are computed in exact dyadic-rational
-arithmetic (floats are dyadic), so the cycle-mean value agrees bit for
-bit with exhaustive enumeration.  The spectral side (beta sweeps) stays
+``maxplus_solve`` is the one exact solve: one Karp run gives ``m`` and a
+critical cycle, one Bellman solve the calibrated subaction, both in exact
+dyadic-rational arithmetic (floats are dyadic), so the cycle-mean value
+agrees bit for bit with exhaustive enumeration.  ``beta_sweep`` certifies
+its spectral bracket against its own exact mean.  The spectral side stays
 entirely in log domain; ``exp(beta * c)`` is never formed.
 """
 
@@ -23,29 +25,25 @@ import numpy as np
 
 from ._tropical import calibrated_subaction, karp_cycle_mean
 from .errors import CertificateError, ConvergenceError, SpecValidationError
-from .plans import gibbs_plan, plan_mass_table
+from .plans import plan_mass_table
 from .symbolic import CostTensor, Marginal, decode_word
 from .transfer import (
     action_view,
     block_count,
     effective_cost,
     log_perron,
-    normalize_cost,
     reduced_cost,
     successor_table,
 )
-from .dual import shift_cost, solve_dual
+from .dual import constrained_equilibrium, solve_dual
 
 __all__ = [
-    "TropicalMatrix",
     "MaxPlusSolution",
     "BetaSweepRecord",
     "UnconstrainedZeroTemp",
     "ConstrainedZeroTemp",
     "default_beta_grid",
-    "maxplus_lift",
-    "karp_value",
-    "subaction_solve",
+    "maxplus_solve",
     "beta_sweep",
     "zero_temp_unconstrained",
     "zero_temp_constrained",
@@ -66,46 +64,18 @@ def default_beta_grid(beta_max=DEFAULT_BETA_MAX):
 
 
 def _beta_grid(betas):
-    """``betas`` as floats, the default grid for None; positive and strictly increasing."""
+    """``betas`` as floats, the default grid for None; nonempty, positive and increasing."""
     betas = default_beta_grid() if betas is None else [float(b) for b in betas]
-    if any(b <= 0 for b in betas) or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:])):
-        raise SpecValidationError("betas must be positive and strictly increasing")
+    if (not betas or any(b <= 0 for b in betas)
+            or any(b2 <= b1 for b1, b2 in zip(betas, betas[1:]))):
+        raise SpecValidationError("betas must be nonempty, positive and strictly increasing")
     return betas
 
 
-@dataclass(frozen=True)
-class TropicalMatrix:
-    """Max-plus transition data on block states, in the action layout.
-
-    ``weights[b, a] = max_x c(x, a.b)`` is the weight of the edge from
-    block ``b`` to ``succ[b, a]``, with ``argmax_x[b, a]`` recording which
-    x attains the maximum (lowest index on ties) for support extraction.
-    """
-
-    weights: np.ndarray
-    argmax_x: np.ndarray
-    succ: np.ndarray
-    alphabet_size: int
-    depth: int
-
-    @property
-    def size(self):
-        return self.weights.shape[0]
-
-
-def maxplus_lift(cost):
-    """Tropical weights of a cost: entrywise max over x."""
-    cost = effective_cost(cost)
-    ct = action_view(cost)
-    succ = successor_table(cost.alphabet_size, block_count(cost))
-    return TropicalMatrix(ct.max(axis=0), ct.argmax(axis=0), succ,
-                          cost.alphabet_size, cost.depth)
-
-
-def karp_value(tropical):
-    """Maximum cycle mean of the tropical matrix (exact at double precision)."""
-    mean, _ = karp_cycle_mean(tropical.weights, tropical.succ)
-    return float(mean)
+def _tropical_lift(cost):
+    """``(weights, succ)``: ``weights[b, a] = max_x c(x, a.b)`` on the edge ``b -> succ[b, a]``."""
+    weights = action_view(cost).max(axis=0)
+    return weights, successor_table(cost.alphabet_size, block_count(cost))
 
 
 @dataclass(frozen=True)
@@ -124,28 +94,24 @@ class MaxPlusSolution:
     feasibility_residual: float
 
 
-def subaction_solve(tropical, m, cost=None):
-    """Calibrated subaction for a given maximal mean.
+def maxplus_solve(cost):
+    """The exact max-plus eigendata of a cost, with its residuals on the full cost.
 
-    Value-iterates the reduced Bellman operator toward a vertex on a
-    critical cycle, in exact arithmetic; non-stabilization within the cap
-    signals that ``m`` is not the maximum cycle mean.  The result is
-    gauge-fixed by ``max V = 0``.
+    One Karp run gives the maximum cycle mean ``m`` and a critical cycle;
+    value iteration of the reduced Bellman operator toward that cycle, in
+    exact arithmetic, gives the calibrated subaction, gauge-fixed by
+    ``max V = 0``.  The residuals are measured on ``c(x, a.b)`` for every
+    x, not only on the tropical maximum.
     """
-    m_frac, cycle = karp_cycle_mean(tropical.weights, tropical.succ)
-    if abs(float(m_frac) - m) > 1e-12 * max(1.0, abs(m)):
-        raise SpecValidationError(
-            f"supplied mean {m!r} disagrees with the maximum cycle mean {float(m_frac)!r}"
-        )
-    v = calibrated_subaction(tropical.weights, tropical.succ, m_frac, cycle)
-    if cost is not None:
-        ct = action_view(effective_cost(cost))
-    else:
-        ct = tropical.weights[None, :, :]
-    expr = reduced_cost(ct, v, m)
+    cost = effective_cost(cost)
+    weights, succ = _tropical_lift(cost)
+    m_frac, cycle = karp_cycle_mean(weights, succ)
+    v = calibrated_subaction(weights, succ, m_frac, cycle)
+    m = float(m_frac)
+    expr = reduced_cost(action_view(cost), v, m)
     per_state = expr.max(axis=(0, 2))
     return MaxPlusSolution(
-        m=float(m),
+        m=m,
         subaction=v,
         optimal_cycle=tuple(int(s) for s in cycle),
         calibration_residual=float(np.abs(per_state).max()),
@@ -183,11 +149,12 @@ def beta_sweep(cost, betas=None):
     Each record carries ``log(lambda_beta)/beta`` and the gauged
     ``log(h_beta)/beta``; the bracket
     ``beta*m <= log(lambda_beta) <= beta*m + log(#X) + log(d)`` is asserted
-    at every beta.
+    at every beta, against an exact ``m`` computed here: a mean supplied
+    from outside would need the same Karp run to be trusted.
     """
     cost = effective_cost(cost)
     betas = _beta_grid(betas)
-    m = karp_value(maxplus_lift(cost))
+    m = float(karp_cycle_mean(*_tropical_lift(cost))[0])
     records = []
     for beta in betas:
         scaled = CostTensor(cost.values * beta, cost.alphabet_size, cost.depth)
@@ -203,21 +170,16 @@ def beta_sweep(cost, betas=None):
 
 
 @dataclass(frozen=True)
-class UnconstrainedZeroTemp:
-    """Exact max-plus data cross-checked against the spectral sweep."""
+class UnconstrainedZeroTemp(MaxPlusSolution):
+    """The exact ``MaxPlusSolution`` cross-checked against the spectral sweep."""
 
-    m: float
-    subaction: np.ndarray
-    optimal_cycle: tuple[int, ...]
     sweep: list[BetaSweepRecord] = field(repr=False)
-    calibration_residual: float = 0.0
-    feasibility_residual: float = 0.0
     h_vs_subaction_distance: float = float("nan")
     monotone_gap: bool = True
 
 
 def zero_temp_unconstrained(cost, betas=None):
-    """Combine the exact tropical solve with the scaled spectral sweep.
+    """Combine the exact ``maxplus_solve`` with the scaled spectral sweep.
 
     The sweep's last entry must satisfy
     ``|log(lambda)/beta - m| <= log(#X * d)/beta``; the distance between
@@ -225,14 +187,12 @@ def zero_temp_unconstrained(cost, betas=None):
     only subsequential convergence is guaranteed, never asserted.
     """
     cost = effective_cost(cost)
-    tropical = maxplus_lift(cost)
-    m = karp_value(tropical)
-    sol = subaction_solve(tropical, m, cost=cost)
+    sol = maxplus_solve(cost)
     sweep = beta_sweep(cost, betas)
     last = sweep[-1]
     bound = np.log(cost.num_x * cost.alphabet_size) / last.beta
-    gap = abs(last.log_lambda_over_beta - m)
-    if gap > bound + 1e-12 * max(1.0, abs(m)):
+    gap = abs(last.log_lambda_over_beta - sol.m)
+    if gap > bound + 1e-12 * max(1.0, abs(sol.m)):
         raise ConvergenceError(
             f"sweep cross-check failed: |log(lambda)/beta - m| = {gap:.3e} "
             f"exceeds {bound:.3e}",
@@ -247,12 +207,8 @@ def zero_temp_unconstrained(cost, betas=None):
         warnings.warn("gap to the ergodic limit is not monotone along the grid",
                       RuntimeWarning, stacklevel=2)
     return UnconstrainedZeroTemp(
-        m=m,
-        subaction=sol.subaction,
-        optimal_cycle=sol.optimal_cycle,
+        **vars(sol),
         sweep=sweep,
-        calibration_residual=sol.calibration_residual,
-        feasibility_residual=sol.feasibility_residual,
         h_vs_subaction_distance=float(np.abs(scaled_h - aligned_v).max()),
         monotone_gap=monotone,
     )
@@ -331,8 +287,7 @@ def zero_temp_constrained(cost, mu, betas=None):
             residuals={"feasibility_residual": feasibility_residual},
         )
 
-    scaled = CostTensor(cost.values * beta_max, cost.alphabet_size, cost.depth)
-    plan = gibbs_plan(normalize_cost(shift_cost(scaled, -solution.phi_tilde)))
+    plan = constrained_equilibrium(scaled, mu, solution)  # scaled by beta_max, the last beta
     masses = plan_mass_table(plan, cost.depth)
     xs, ws = np.nonzero(masses > SUPPORT_MASS_THRESHOLD)
     support_plan = [(x, decode_word(w, cost.depth, cost.alphabet_size), mass)

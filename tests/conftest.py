@@ -6,13 +6,15 @@ least-squares stationary vector.  The package solves all of these in log
 domain on the block chain; the tests check it against these independent paths.
 The sparse bordered chain matrix built from triplets, a direct cost
 evaluation, the exact vertex-enumeration LP for the constrained
-zero-temperature limit, and cylinder tables built by word-index arithmetic
+zero-temperature limit, the tropical lift with its exhaustive cycle-mean
+enumeration, and cylinder tables built by word-index arithmetic
 (``idx % d``, ``idx // d``) are oracles kept here for the same reason.
 """
 
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -89,12 +91,41 @@ def dense_q(measure):
     return dense_chain(measure.q)
 
 
-def dense_tropical(tropical):
-    """``W[b', b]``: tropical weights as a dense matrix, ``-inf`` off the successor pattern."""
-    n_blocks = tropical.size
+def dense_tropical(cost):
+    """``W[b', b] = max_x c(x, w)``, ``-inf`` off the successor pattern.
+
+    Built from the words themselves: ``w`` leaves the block ``w // d`` for
+    the block ``w % n``, the leading ``m - 1`` symbols of ``w``.
+    """
+    cost = effective_cost(cost)
+    n_blocks = cost.alphabet_size ** (cost.depth - 1)
+    words = np.arange(cost.word_count)
     mat = np.full((n_blocks, n_blocks), -np.inf)
-    mat[tropical.succ, np.arange(n_blocks)[:, None]] = tropical.weights
+    mat[words % n_blocks, words // cost.alphabet_size] = cost.values.max(axis=0)
     return mat
+
+
+def enumerate_cycle_means(cost):
+    """Exact maximum mean over all simple cycles of ``dense_tropical(cost)`` (DFS oracle)."""
+    mat = dense_tropical(cost)
+    n_blocks = mat.shape[0]
+    edges = [[(t, Fraction(float(mat[t, b]))) for t in range(n_blocks) if mat[t, b] > -np.inf]
+             for b in range(n_blocks)]
+    best = [None]
+
+    def walk(start, node, path_weight, visited, length):
+        for nxt, weight in edges[node]:
+            w = path_weight + weight
+            if nxt == start:
+                mean = w / (length + 1)
+                if best[0] is None or mean > best[0]:
+                    best[0] = mean
+            elif nxt > start and nxt not in visited:
+                walk(start, nxt, w, visited | {nxt}, length + 1)
+
+    for start in range(n_blocks):
+        walk(start, start, Fraction(0), {start}, 0)
+    return float(best[0])
 
 
 def random_markov_measure(rng, d, block_len):

@@ -227,3 +227,100 @@ def test_sandwich_violation_exits_3_without_traceback(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "solver failure" in captured.err and "sandwich" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def _two_state_doc(**changes):
+    with open(spec_path("two_state.json")) as fh:
+        return {**json.load(fh), **changes}
+
+
+def _assert_one_validation_line(err):
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("validation error:")
+
+
+MALFORMED_DOCS = [
+    ("cost_string", "pressure", {"cost": ["x", 0]}),
+    ("beta_grid_string", "zerotemp", {"beta_grid": ["abc"]}),
+    ("beta_grid_scalar", "zerotemp", {"beta_grid": 5}),
+    ("mu_string", "dual", {"mu": "a"}),
+    ("plan_scalar", "entropy", {"plan": 5}),
+    ("beta_grid_empty", "zerotemp", {"beta_grid": []}),
+    ("cost_bool", "pressure", {"cost": [True] + [0.0] * 7}),
+    ("mu_huge_int", "dual", {"mu": [10**400, 0.5]}),
+    ("plan_q_object", "entropy", {"plan": {"q": {}, "p": [0.5, 0.5], "jacobian": [0.25] * 8}}),
+    ("plan_p_nan", "entropy", {"plan": {"q": [0.0, 1.0, 1.0, 0.0], "p": [math.nan, 0.5],
+                                        "jacobian": [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]}}),
+]
+
+
+@pytest.mark.parametrize("label,verb,changes", MALFORMED_DOCS, ids=[c[0] for c in MALFORMED_DOCS])
+def test_malformed_document_exits_2_with_one_line(tmp_path, capsys, label, verb, changes):
+    spec = tmp_path / f"{label}.json"
+    spec.write_text(json.dumps(_two_state_doc(**changes)))
+    assert main([verb, "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_validation_line(captured.err)
+    assert captured.out == ""
+
+
+BAD_FLAGS = [
+    ("zerotemp", ["--beta-max", "0.5"]),  # empty grid
+    ("zerotemp", ["--beta-max", "inf"]),  # the grid would never end
+    ("zerotemp", ["--beta-max", "nan"]),
+    ("pressure", ["--tol-eigen", "-1"]),
+    ("entropy", ["--tol-eigen", "nan"]),
+    ("certify", ["--tol-dual", "0"]),
+    ("gibbs", ["--depth", "0"]),
+    ("gibbs", ["--depth", "-3"]),
+]
+
+
+@pytest.mark.parametrize("verb,flags", BAD_FLAGS, ids=[" ".join(f) for _, f in BAD_FLAGS])
+def test_bad_flag_exits_2_before_the_spec_is_read(capsys, verb, flags):
+    # a missing spec file would exit 2 with "cannot read spec": the flag is checked first
+    assert main([verb, "--spec", spec_path("no_such.json")] + flags) == 2
+    _assert_one_validation_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("depth", ["19", "10000000"])
+def test_export_depth_cap_refuses_before_allocating(capsys, depth):
+    import tracemalloc
+
+    from ergotrans.cli import MAX_EXPORT_ROWS
+
+    assert 2 * 2**19 > MAX_EXPORT_ROWS  # two_state.json has #X = d = 2
+    tracemalloc.start()
+    try:
+        code = main(["gibbs", "--spec", spec_path("two_state.json"), "--depth", depth])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    _assert_one_validation_line(capsys.readouterr().err)
+    # the digit table alone would hold 2**19 rows of 19 int64s (80 MB)
+    assert peak < 1_000_000
+
+
+def test_entropy_passes_tol_eigen_to_the_eigensolve(monkeypatch, capsys):
+    from ergotrans import transfer
+
+    solve, seen = transfer.log_perron, []
+
+    def recording(cost, *args, tol, **kwargs):
+        seen.append(tol)
+        return solve(cost, *args, tol=tol, **kwargs)
+
+    monkeypatch.setattr(transfer, "log_perron", recording)
+    assert main(["entropy", "--spec", spec_path("two_state.json"), "--tol-eigen", "1e-11"]) == 0
+    assert seen == [1e-11]
+    assert json.loads(capsys.readouterr().out)["tolerances"]["tol_eigen"] == 1e-11
+
+
+def test_help_names_the_verbs_reading_each_flag():
+    from ergotrans.cli import build_parser
+
+    for action in build_parser()._actions:
+        if action.option_strings and action.dest != "help":
+            assert "every verb" in action.help or "read by" in action.help, action.dest

@@ -31,8 +31,7 @@ from ergotrans.transfer import (
 )
 from ergotrans.zerotemp import (
     default_beta_grid,
-    karp_value,
-    maxplus_lift,
+    maxplus_solve,
     zero_temp_constrained,
 )
 
@@ -274,7 +273,7 @@ def test_survey_d3_families_certify_on_the_whole_grid():
             rng.uniform(0.2, 1.0, size=num_x)  # the survey's mu draw
             if d != 3:
                 continue
-            m_exact = karp_value(maxplus_lift(cost))
+            m_exact = maxplus_solve(cost).m
             for beta in grid:
                 log_lam, _, _, _ = log_perron(scaled(cost, beta))
                 slack = 1e-12 * max(1.0, abs(beta * m_exact))

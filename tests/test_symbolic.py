@@ -121,6 +121,32 @@ def test_build_problem_checks_the_document_fields():
     assert spec.beta_grid == (1.0, 2.0)
 
 
+def test_build_problem_checks_entry_types():
+    base = {"num_x": 2, "alphabet_size": 2, "depth": 2, "cost": [0.0] * 8}
+    for change in ({"cost": ["x"] + [0.0] * 7}, {"cost": [[0.0] * 4] * 2},
+                   {"cost": [False] * 8}, {"cost": [10**400] + [0.0] * 7},
+                   {"mu": "a"}, {"mu": [0.5, None]}, {"beta_grid": 5},
+                   {"beta_grid": ["abc"]}, {"plan": 5}, {"plan": [1.0]},
+                   {"depth": float("inf")}, {"depth": 2.5}, {"num_x": "2"},
+                   {"alphabet_size": True}):
+        with pytest.raises(SpecValidationError):
+            build_problem({**base, **change})
+
+
+def test_build_problem_rejects_a_deep_document_without_forming_d_to_the_depth():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(SpecValidationError, match="expected num_x"):
+            # 2**(10**7) alone is a 1.25 MB integer
+            build_problem({"num_x": 1, "alphabet_size": 2, "depth": 10**7, "cost": [0.0] * 2})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
 def test_build_problem_missing_field():
     with pytest.raises(SpecValidationError, match="missing required field"):
         build_problem({"num_x": 2, "alphabet_size": 2, "depth": 2})

@@ -1,26 +1,25 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ergotrans.zerotemp as zerotemp
 from ergotrans.errors import SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
-from ergotrans.transfer import pressure
+from ergotrans.transfer import effective_cost, pressure
 from ergotrans.plans import integrate_cost
 from ergotrans.dual import shift_cost
 from ergotrans.zerotemp import (
     beta_sweep,
     default_beta_grid,
-    karp_value,
-    maxplus_lift,
-    subaction_solve,
+    maxplus_solve,
     zero_temp_constrained,
     zero_temp_unconstrained,
 )
 
 from conftest import (
     dense_tropical,
+    enumerate_cycle_means,
     primal_lp_oracle,
     random_cost,
     random_marginal,
@@ -28,65 +27,56 @@ from conftest import (
 )
 
 
-def enumerate_cycle_means(tropical):
-    """Exact maximum mean over all simple cycles (DFS enumeration oracle)."""
-    n = tropical.size
-    d = tropical.alphabet_size
-    succ = tropical.succ
-    weights = [[Fraction(float(tropical.weights[b, a])) for a in range(d)] for b in range(n)]
-    best = [None]
-
-    def walk(start, node, path_weight, visited, length):
-        for a in range(d):
-            nxt = int(succ[node, a])
-            w = path_weight + weights[node][a]
-            if nxt == start and length + 1 >= 1:
-                mean = w / (length + 1)
-                if best[0] is None or mean > best[0]:
-                    best[0] = mean
-            elif nxt > start and nxt not in visited:
-                walk(start, nxt, w, visited | {nxt}, length + 1)
-
-    for start in range(n):
-        walk(start, start, Fraction(0), {start}, 0)
-    return float(best[0])
+def package_tropical(cost):
+    """The package's own lift, ``zerotemp._tropical_lift``, as a dense ``W[b', b]``."""
+    weights, succ = zerotemp._tropical_lift(effective_cost(cost))
+    mat = np.full((weights.shape[0],) * 2, -np.inf)
+    mat[succ, np.arange(weights.shape[0])[:, None]] = weights
+    return mat
 
 
 # --- tropical lift ----------------------------------------------------------
 
 
 def test_maxplus_lift_two_state(two_state_cost):
-    tp = maxplus_lift(two_state_cost)
     expected = np.array([[0.0, 0.0], [0.0, math.log(2.0)]])
-    assert np.array_equal(dense_tropical(tp), expected)
-    assert tp.argmax_x[1, 1] == 1  # the (1,1)-word maximum comes from x = 1
+    assert np.array_equal(dense_tropical(two_state_cost), expected)
+    assert np.array_equal(package_tropical(two_state_cost), expected)
 
 
 def test_maxplus_lift_constant():
-    tp = maxplus_lift(CostTensor(np.full((2, 4), 1.3), 2, 2))
-    assert np.allclose(dense_tropical(tp), 1.3)
+    c = CostTensor(np.full((2, 4), 1.3), 2, 2)
+    assert np.allclose(dense_tropical(c), 1.3)
+    assert np.allclose(package_tropical(c), 1.3)
 
 
 def test_maxplus_lift_single_x():
     rng = np.random.default_rng(60)
     c = random_cost(rng, 1, 2, 2)
-    tp = maxplus_lift(c)
     view = c.values.reshape(2, 2)  # [b, a]
     for b in range(2):
         for a in range(2):
-            assert dense_tropical(tp)[a, b] == view[b, a]
+            assert dense_tropical(c)[a, b] == view[b, a]
+            assert package_tropical(c)[a, b] == view[b, a]
+
+
+def test_package_lift_matches_the_oracle_lift():
+    rng = np.random.default_rng(67)
+    for num_x, d, m in ((1, 2, 1), (2, 2, 3), (3, 3, 2), (2, 3, 3), (2, 4, 3)):
+        c = random_cost(rng, num_x, d, m)
+        assert np.array_equal(package_tropical(c), dense_tropical(c))
 
 
 # --- cycle means ------------------------------------------------------------
 
 
 def test_karp_two_state(two_state_cost):
-    m = karp_value(maxplus_lift(two_state_cost))
+    m = maxplus_solve(two_state_cost).m
     assert m == math.log(2.0)
 
 
 def test_karp_constant():
-    m = karp_value(maxplus_lift(CostTensor(np.full((2, 4), -0.4), 2, 2)))
+    m = maxplus_solve(CostTensor(np.full((2, 4), -0.4), 2, 2)).m
     assert m == -0.4
 
 
@@ -99,17 +89,14 @@ def test_karp_equals_cycle_enumeration():
         if d ** (m_depth - 1) > 8:
             m_depth = 2
         c = random_cost(rng, num_x, d, m_depth)
-        tp = maxplus_lift(c)
-        assert karp_value(tp) == enumerate_cycle_means(tp)
+        assert maxplus_solve(c).m == enumerate_cycle_means(c)
 
 
 # --- subactions -------------------------------------------------------------
 
 
 def test_subaction_two_state(two_state_cost):
-    tp = maxplus_lift(two_state_cost)
-    m = karp_value(tp)
-    sol = subaction_solve(tp, m, cost=two_state_cost)
+    sol = maxplus_solve(two_state_cost)
     assert np.allclose(sol.subaction, [-math.log(2.0), 0.0], atol=1e-15)
     assert sol.optimal_cycle == (1,)
     assert sol.calibration_residual <= 1e-9
@@ -118,8 +105,7 @@ def test_subaction_two_state(two_state_cost):
 
 def test_subaction_constant_is_zero():
     c = CostTensor(np.full((2, 4), 0.9), 2, 2)
-    tp = maxplus_lift(c)
-    sol = subaction_solve(tp, karp_value(tp), cost=c)
+    sol = maxplus_solve(c)
     assert np.allclose(sol.subaction, 0.0, atol=1e-15)
 
 
@@ -127,15 +113,14 @@ def test_subaction_random_residuals():
     rng = np.random.default_rng(62)
     for _ in range(20):
         c = random_cost(rng, int(rng.integers(1, 4)), 2, int(rng.integers(2, 4)))
-        tp = maxplus_lift(c)
-        m = karp_value(tp)
-        sol = subaction_solve(tp, m, cost=c)
+        sol = maxplus_solve(c)
+        m = sol.m
         assert sol.feasibility_residual <= 1e-9
         assert sol.calibration_residual <= 1e-9
         assert sol.subaction.max() == 0.0
         # the extracted cycle is critical: reduced weights telescope to zero
         cyc = sol.optimal_cycle
-        mat = dense_tropical(tp)
+        mat = dense_tropical(c)
         total = 0.0
         for i, b in enumerate(cyc):
             nxt = cyc[(i + 1) % len(cyc)]
@@ -144,10 +129,24 @@ def test_subaction_random_residuals():
         assert abs(total) <= 1e-9 * max(1.0, abs(m) * len(cyc))
 
 
-def test_subaction_rejects_wrong_mean(two_state_cost):
-    tp = maxplus_lift(two_state_cost)
-    with pytest.raises(SpecValidationError):
-        subaction_solve(tp, 0.1)
+def test_unconstrained_runs_one_exact_solve(monkeypatch, two_state_cost):
+    # maxplus_solve runs Karp and the Bellman solve once each; beta_sweep
+    # runs Karp once more for the exact mean its bracket is checked against
+    calls = {"karp": 0, "subaction": 0}
+    karp, subaction = zerotemp.karp_cycle_mean, zerotemp.calibrated_subaction
+
+    def counted_karp(*args):
+        calls["karp"] += 1
+        return karp(*args)
+
+    def counted_subaction(*args):
+        calls["subaction"] += 1
+        return subaction(*args)
+
+    monkeypatch.setattr(zerotemp, "karp_cycle_mean", counted_karp)
+    monkeypatch.setattr(zerotemp, "calibrated_subaction", counted_subaction)
+    zero_temp_unconstrained(two_state_cost, betas=[1.0, 2.0])
+    assert calls == {"karp": 2, "subaction": 1}
 
 
 # --- sweeps -----------------------------------------------------------------
@@ -214,9 +213,8 @@ def test_unconstrained_constant_cost():
 def test_unconstrained_single_x_cycle_value():
     rng = np.random.default_rng(64)
     c = random_cost(rng, 1, 2, 3)
-    tp = maxplus_lift(c)
     out = zero_temp_unconstrained(c, betas=[1.0, 16.0, 256.0, 4096.0])
-    assert out.m == enumerate_cycle_means(tp)
+    assert out.m == enumerate_cycle_means(c)
 
 
 # --- constrained ------------------------------------------------------------
@@ -274,7 +272,7 @@ def test_lp_single_x_equals_cycle_mean():
     for _ in range(5):
         c = random_cost(rng, 1, 2, 2)
         lp = primal_lp_oracle(c, Marginal([1.0]))
-        assert lp.value == pytest.approx(karp_value(maxplus_lift(c)), abs=1e-10)
+        assert lp.value == pytest.approx(maxplus_solve(c).m, abs=1e-10)
 
 
 def test_lp_feasibility_of_vertex():
