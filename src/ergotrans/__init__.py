@@ -20,7 +20,6 @@ from .symbolic import (
 from .transfer import (
     MarkovMeasure,
     NormalizedCost,
-    gibbs_measure,
     markov_entropy_rate,
     normalize_cost,
     nu_cylinder,

@@ -18,7 +18,7 @@ import numpy as np
 from .dual import eigencurve_conditions, slackness_certificate, solve_dual
 from .errors import CertificateError, ConvergenceError, SpecValidationError
 from .plans import FiniteMemoryPlan, entropy, export_plan, gibbs_plan
-from .symbolic import load_problem
+from .symbolic import _numbers, load_problem
 from .transfer import (
     MarkovMeasure,
     effective_cost,
@@ -64,6 +64,7 @@ def _export_depth(args, cost):
 def _plan_from_spec(spec):
     """Optional plan section: jacobian (x, a, b) flat, q and p over blocks.
 
+    Each of the three is a flat list of numbers, checked like ``cost``.
     ``jacobian`` is read into the plan's ``[x, b, a]`` layout as a
     transposed view.  ``q`` is the dense ``(successor, block)`` matrix; it
     is read on the successor pattern into the action layout, and every
@@ -76,11 +77,10 @@ def _plan_from_spec(spec):
     memory = max(spec.depth, 2)
     n_blocks = d ** (memory - 1)
     try:
-        q = np.asarray(doc["q"], dtype=float).reshape(n_blocks, n_blocks)
-        p = np.asarray(doc["p"], dtype=float).reshape(n_blocks)
-        jac = np.asarray(doc["jacobian"], dtype=float).reshape(spec.num_x, d, n_blocks)
-        jac = jac.transpose(0, 2, 1)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        q = _numbers(doc, "q").reshape(n_blocks, n_blocks)
+        p = _numbers(doc, "p").reshape(n_blocks)
+        jac = _numbers(doc, "jacobian").reshape(spec.num_x, d, n_blocks).transpose(0, 2, 1)
+    except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid plan section: {exc}") from exc
     q_ab = q[successor_table(d, n_blocks), np.arange(n_blocks)[:, None]]
     if np.count_nonzero(q) != np.count_nonzero(q_ab):

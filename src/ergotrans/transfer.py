@@ -50,7 +50,6 @@ __all__ = [
     "pressure",
     "gibbs_chain",
     "poisson_solve",
-    "gibbs_measure",
     "nu_cylinder_table",
     "nu_cylinder",
     "markov_entropy_rate",
@@ -563,18 +562,6 @@ def poisson_solve(weights, succ, rhs):
     h = _bordered_solve(weights, succ, -rhs)
     h[0] = 0.0
     return h
-
-
-def gibbs_measure(normalized):
-    """Invariant measure of the normalized operator's dual (the block chain).
-
-    ``q[b, a] = sum_x exp(cbar(x, a.b))``, in the action layout, and ``p``
-    is its stationary vector (``gibbs_chain``); for a normalized cost the
-    chain is stochastic, so the dual fixed point is exactly the stationary
-    block-Markov measure.
-    """
-    _, weights, _, p = gibbs_chain(normalized)
-    return MarkovMeasure(weights, p, normalized.alphabet_size)
 
 
 def nu_cylinder_table(measure, length):

@@ -8,12 +8,13 @@ and the subaction solves the tropical fixed point
 
     V(b) = max_{x,a} [ c(x, a.b) - m + V(succ(b, a)) ].
 
-``maxplus_solve`` is the one exact solve: one Karp run gives ``m`` and a
-critical cycle, one Bellman solve the calibrated subaction, both in exact
-dyadic-rational arithmetic (floats are dyadic), so the cycle-mean value
-agrees bit for bit with exhaustive enumeration.  ``beta_sweep`` certifies
-its spectral bracket against its own exact mean.  The spectral side stays
-entirely in log domain; ``exp(beta * c)`` is never formed.
+``maxplus_solve`` is the one exact solve: one max-plus policy iteration,
+started from the float Howard policy and finished in exact dyadic-rational
+arithmetic (floats are dyadic), gives ``m``, a critical cycle and the
+calibrated subaction, so the cycle-mean value agrees bit for bit with
+exhaustive enumeration.  ``beta_sweep`` certifies its spectral bracket
+against its own exact mean.  The spectral side stays entirely in log
+domain; ``exp(beta * c)`` is never formed.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._tropical import calibrated_subaction, karp_cycle_mean
+from ._tropical import exact_policy_iteration
 from .errors import CertificateError, ConvergenceError, SpecValidationError
 from .plans import plan_mass_table
 from .symbolic import CostTensor, Marginal, decode_word
@@ -97,16 +98,14 @@ class MaxPlusSolution:
 def maxplus_solve(cost):
     """The exact max-plus eigendata of a cost, with its residuals on the full cost.
 
-    One Karp run gives the maximum cycle mean ``m`` and a critical cycle;
-    value iteration of the reduced Bellman operator toward that cycle, in
-    exact arithmetic, gives the calibrated subaction, gauge-fixed by
-    ``max V = 0``.  The residuals are measured on ``c(x, a.b)`` for every
-    x, not only on the tropical maximum.
+    One exact policy iteration (``_tropical.exact_policy_iteration``) gives
+    the maximum cycle mean ``m``, the critical policy cycle with the
+    smallest root, and the calibrated subaction, the final policy's bias,
+    gauge-fixed by ``max V = 0``.  The residuals are measured on
+    ``c(x, a.b)`` for every x, not only on the tropical maximum.
     """
     cost = effective_cost(cost)
-    weights, succ = _tropical_lift(cost)
-    m_frac, cycle = karp_cycle_mean(weights, succ)
-    v = calibrated_subaction(weights, succ, m_frac, cycle)
+    m_frac, cycle, v = exact_policy_iteration(*_tropical_lift(cost))
     m = float(m_frac)
     expr = reduced_cost(action_view(cost), v, m)
     per_state = expr.max(axis=(0, 2))
@@ -150,11 +149,11 @@ def beta_sweep(cost, betas=None):
     ``log(h_beta)/beta``; the bracket
     ``beta*m <= log(lambda_beta) <= beta*m + log(#X) + log(d)`` is asserted
     at every beta, against an exact ``m`` computed here: a mean supplied
-    from outside would need the same Karp run to be trusted.
+    from outside would need the same exact solve to be trusted.
     """
     cost = effective_cost(cost)
     betas = _beta_grid(betas)
-    m = float(karp_cycle_mean(*_tropical_lift(cost))[0])
+    m = float(exact_policy_iteration(*_tropical_lift(cost))[0])
     records = []
     for beta in betas:
         scaled = CostTensor(cost.values * beta, cost.alphabet_size, cost.depth)

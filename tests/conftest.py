@@ -7,7 +7,8 @@ domain on the block chain; the tests check it against these independent paths.
 The sparse bordered chain matrix built from triplets, a direct cost
 evaluation, the exact vertex-enumeration LP for the constrained
 zero-temperature limit, the tropical lift with its exhaustive cycle-mean
-enumeration, and cylinder tables built by word-index arithmetic
+enumeration, Karp's exact cycle mean with the longest-walk Bellman solve
+for the subaction, and cylinder tables built by word-index arithmetic
 (``idx % d``, ``idx // d``) are oracles kept here for the same reason.
 """
 
@@ -32,6 +33,7 @@ from ergotrans.transfer import (
     effective_cost,
     successor_table,
 )
+from ergotrans.zerotemp import maxplus_solve
 
 # Two-state reference instance: per-x weight matrices [[1,1],[1,1]] and
 # [[1,1],[1,2]] on two symbols, depth 2.  The summed transfer matrix is
@@ -126,6 +128,80 @@ def enumerate_cycle_means(cost):
     for start in range(n_blocks):
         walk(start, start, Fraction(0), {start}, 0)
     return float(best[0])
+
+
+def karp_cycle_mean(weights, succ):
+    """Karp's maximum cycle mean and one critical cycle, in Fractions (oracle).
+
+    ``weights[b, a]`` is the weight of the edge ``b -> succ[b, a]``.  The
+    cycle is one on the optimal ``n``-edge walk to the maximizing vertex,
+    rotated to start at its smallest state.  ``O(n**2 * d)``.
+    """
+    n, d = weights.shape
+    w_frac = [[Fraction(float(weights[b, a])) for a in range(d)] for b in range(n)]
+    dist = [[None] * n for _ in range(n + 1)]
+    parent = [[None] * n for _ in range(n + 1)]
+    dist[0][0] = Fraction(0)
+    for k in range(1, n + 1):
+        row, prow, prev = dist[k], parent[k], dist[k - 1]
+        for b in range(n):
+            if prev[b] is None:
+                continue
+            for a in range(d):
+                t = int(succ[b, a])
+                cand = prev[b] + w_frac[b][a]
+                if row[t] is None or cand > row[t]:
+                    row[t] = cand
+                    prow[t] = b
+    best, best_v = None, None
+    for v in range(n):
+        if dist[n][v] is None:
+            continue
+        inner = min((dist[n][v] - dist[k][v]) / (n - k)
+                    for k in range(n) if dist[k][v] is not None)
+        if best is None or inner > best:
+            best, best_v = inner, v
+    walk = [best_v]
+    for k in range(n, 0, -1):
+        walk.append(parent[k][walk[-1]])
+    walk.reverse()
+    seen = {}
+    for pos, v in enumerate(walk):
+        if v in seen:
+            cycle = walk[seen[v]:pos]
+            break
+        seen[v] = pos
+    rotate = cycle.index(min(cycle))
+    return best, cycle[rotate:] + cycle[:rotate]
+
+
+def bellman_subaction(weights, succ, mean, cycle):
+    """Longest walks toward ``cycle[0]`` in the weights reduced by ``mean`` (oracle).
+
+    Exact value iteration of the reduced Bellman operator, with the value 0
+    pinned at ``cycle[0]``; converted to floats, then gauged by ``max V = 0``.
+    """
+    n, d = weights.shape
+    red = [[Fraction(float(weights[b, a])) - mean for a in range(d)] for b in range(n)]
+    target = cycle[0]
+    values = [None] * n
+    values[target] = Fraction(0)
+    for _ in range(2 * n + 4):
+        new = list(values)
+        for b in range(n):
+            cands = [red[b][a] + values[int(succ[b, a])]
+                     for a in range(d) if values[int(succ[b, a])] is not None]
+            if b == target:
+                cands.append(Fraction(0))
+            if cands and (new[b] is None or max(cands) > new[b]):
+                new[b] = max(cands)
+        if new == values:
+            break
+        values = new
+    else:
+        raise ConvergenceError("Bellman iteration did not stabilize", iterations=2 * n + 4)
+    v = np.array([float(x) for x in values])
+    return v - v.max()
 
 
 def random_markov_measure(rng, d, block_len):
@@ -344,21 +420,18 @@ def scaled_dense_log_perron(cost):
     """Log-domain Perron data by a tropically preconditioned dense eigensolve.
 
     Conjugating by the exact calibrated subaction and subtracting the exact
-    maximum cycle mean puts every weight in (0, 1], so the reduced matrix has
-    its dominant eigenvalue in [1, #X*d] and ``np.linalg.eig`` is well
-    conditioned however strongly the cost is scaled.  Returns
-    ``(log lambda, log h)`` with ``log h`` gauged to ``min = 0``.
+    maximum cycle mean (both from ``maxplus_solve``) puts every weight in
+    (0, 1], so the reduced matrix has its dominant eigenvalue in [1, #X*d]
+    and ``np.linalg.eig`` is well conditioned however strongly the cost is
+    scaled.  Returns ``(log lambda, log h)`` with ``log h`` gauged to
+    ``min = 0``.
     """
-    from ergotrans._tropical import calibrated_subaction, karp_cycle_mean
-
     cost = effective_cost(cost)
     ct = action_view(cost)
     n_blocks = block_count(cost)
     succ = successor_table(cost.alphabet_size, n_blocks)
-    weights = ct.max(axis=0)
-    mean_frac, cycle = karp_cycle_mean(weights, succ)
-    v_cal = calibrated_subaction(weights, succ, mean_frac, cycle)
-    mean = float(mean_frac)
+    sol = maxplus_solve(cost)
+    v_cal, mean = sol.subaction, sol.m
     reduced = ct + v_cal[succ][None, :, :] - v_cal[None, :, None] - mean
     mat = np.zeros((n_blocks, n_blocks))
     mat[succ, np.arange(n_blocks)[:, None]] = np.exp(reduced).sum(axis=0)

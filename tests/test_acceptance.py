@@ -14,7 +14,6 @@ import pytest
 
 from ergotrans.symbolic import CostTensor, Marginal, decode_word
 from ergotrans.transfer import (
-    gibbs_measure,
     markov_entropy_rate,
     normalize_cost,
     pressure,
@@ -76,7 +75,7 @@ def test_criterion_1_reference_spectral_data():
     ok = abs(sol.lam - REF_LAMBDA) <= 1e-12
 
     normalized = normalize_cost(cost)
-    measure = gibbs_measure(normalized)
+    measure = gibbs_plan(normalized).nu
     q_ref = np.array([[0.4384, 0.3423], [0.5616, 0.6577]])
     ok &= bool(np.abs(dense_q(measure) - q_ref).max() <= 1e-4)
     ok &= bool(np.abs(measure.p - [0.3786, 0.6213]).max() <= 2e-4)

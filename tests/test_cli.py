@@ -1,9 +1,13 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergotrans.cli import main
 
@@ -265,6 +269,35 @@ def test_malformed_document_exits_2_with_one_line(tmp_path, capsys, label, verb,
     assert captured.out == ""
 
 
+def _two_atom_plan_doc(**changes):
+    with open(spec_path("two_atom_plan.json")) as fh:
+        doc = json.load(fh)
+    doc["plan"] = {**doc["plan"], **changes}
+    return doc
+
+
+TWO_ATOM_JACOBIAN = [0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+MALFORMED_PLAN_ARRAYS = [
+    ("q_bools", {"q": [False, True, True, False]}),
+    ("jacobian_nested", {"jacobian": [[v] for v in TWO_ATOM_JACOBIAN]}),
+    ("jacobian_bool_entry", {"jacobian": [False] + TWO_ATOM_JACOBIAN[1:]}),
+    ("p_nested", {"p": [[0.5, 0.5]]}),
+    ("p_string_entry", {"p": ["0.5", 0.5]}),
+    ("q_huge_int", {"q": [0, 10**400, 1, 0]}),
+]
+
+
+@pytest.mark.parametrize("label,changes", MALFORMED_PLAN_ARRAYS,
+                         ids=[c[0] for c in MALFORMED_PLAN_ARRAYS])
+def test_plan_arrays_must_be_flat_lists_of_numbers(tmp_path, capsys, label, changes):
+    spec = tmp_path / f"{label}.json"
+    spec.write_text(json.dumps(_two_atom_plan_doc(**changes)))
+    assert main(["entropy", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_validation_line(captured.err)
+    assert captured.out == ""
+
+
 BAD_FLAGS = [
     ("zerotemp", ["--beta-max", "0.5"]),  # empty grid
     ("zerotemp", ["--beta-max", "inf"]),  # the grid would never end
@@ -324,3 +357,55 @@ def test_help_names_the_verbs_reading_each_flag():
     for action in build_parser()._actions:
         if action.option_strings and action.dest != "help":
             assert "every verb" in action.help or "read by" in action.help, action.dest
+
+
+# -- front door property: one mutated field, every verb, no traceback ---------
+
+FIXTURES = sorted(name for name in os.listdir(SPEC_DIR) if name.endswith(".json"))
+ODD_VALUES = [True, False, None, "x", {}, 2.5, math.nan, math.inf, -math.inf, 10**400, -10**400]
+VERBS = ("pressure", "gibbs", "entropy", "dual", "zerotemp", "certify")
+
+
+@st.composite
+def mutated_documents(draw):
+    """A fixture with one field (top level or in ``plan``) given a malformed value.
+
+    The value is of a wrong JSON type (bools, NaN and +-inf included), one
+    level deeper, an empty list or a huge integer, or the field's list has
+    one such entry.
+    """
+    name = draw(st.sampled_from(FIXTURES))
+    with open(spec_path(name)) as fh:
+        doc = json.load(fh)
+    paths = [(key,) for key in doc] + [("plan", key) for key in doc.get("plan", {})]
+    path = draw(st.sampled_from(paths))
+    owner = doc if len(path) == 1 else doc["plan"]
+    value = owner[path[-1]]
+    forms = [st.sampled_from(ODD_VALUES), st.just([value]), st.just([])]
+    if isinstance(value, list) and value:
+        forms.append(st.just([[entry] for entry in value]))
+        forms.append(st.tuples(st.integers(0, len(value) - 1), st.sampled_from(ODD_VALUES))
+                     .map(lambda pick: value[:pick[0]] + [pick[1]] + value[pick[0] + 1:]))
+    owner[path[-1]] = draw(st.one_of(forms))
+    return name, path, doc
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_front_door_mutations_exit_cleanly(mutated):
+    _, _, doc = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = os.path.join(tmp, "spec.json")
+        with open(spec, "w") as fh:
+            json.dump(doc, fh)
+        for verb in VERBS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([verb, "--spec", spec])
+            assert code in (0, 2, 3), (verb, code)
+            assert "Traceback" not in err.getvalue()
+            lines = [line for line in err.getvalue().splitlines()
+                     if not line.startswith("wall_time_ms=")]
+            assert len(lines) <= 1, (verb, lines)
+            if code == 2:
+                assert len(lines) == 1 and lines[0].startswith("validation error:"), (verb, lines)

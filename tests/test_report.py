@@ -169,13 +169,13 @@ def test_action_layout_transition_renders_as_dense_matrix():
     from conftest import dense_q, random_cost
 
     from ergotrans.cli import _transition_rows
-    from ergotrans.plans import periodic_orbit_measure
-    from ergotrans.transfer import gibbs_measure, normalize_cost
+    from ergotrans.plans import gibbs_plan, periodic_orbit_measure
+    from ergotrans.transfer import normalize_cost
 
     rng = np.random.default_rng(88)
     sizes = [(2, m) for m in range(2, 13)] + [(3, 2), (3, 3), (3, 5), (4, 2), (4, 3), (4, 4)]
     for d, m in sizes:
-        measures = [gibbs_measure(normalize_cost(random_cost(rng, 2, d, m)))]
+        measures = [gibbs_plan(normalize_cost(random_cost(rng, 2, d, m))).nu]
         if m <= 4:  # deterministic rows: zeros on the successor pattern
             measures.append(periodic_orbit_measure([0, d - 1], d, m - 1))
         for measure in measures:

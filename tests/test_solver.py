@@ -12,6 +12,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,12 +20,11 @@ import pytest
 import ergotrans.transfer as transfer
 from ergotrans.errors import ConvergenceError
 from ergotrans.plans import gibbs_plan
-from ergotrans._tropical import howard_policy_iteration, karp_cycle_mean
+from ergotrans._tropical import exact_policy_iteration, howard_policy_iteration
 from ergotrans.symbolic import CostTensor
 from ergotrans.transfer import (
     action_view,
     block_count,
-    gibbs_measure,
     log_perron,
     normalize_cost,
     successor_table,
@@ -37,7 +37,10 @@ from ergotrans.zerotemp import (
 
 from conftest import (
     assemble_transfer,
+    bellman_subaction,
     dense_q,
+    enumerate_cycle_means,
+    karp_cycle_mean,
     perron_solve,
     primal_lp_oracle,
     random_cost,
@@ -88,7 +91,7 @@ def test_log_perron_matches_dense_oracles_on_random_family():
 def test_gibbs_chain_is_stationary_on_random_family():
     for cost in random_family():
         for beta in BETAS:
-            measure = gibbs_measure(normalize_cost(scaled(cost, beta)))
+            measure = gibbs_plan(normalize_cost(scaled(cost, beta))).nu
             assert np.abs(dense_q(measure) @ measure.p - measure.p).max() <= 1e-12
             assert measure.p.sum() == pytest.approx(1.0, abs=1e-12)
             assert (measure.p >= 0.0).all()
@@ -110,7 +113,7 @@ def test_sparse_and_dense_solves_agree(monkeypatch):
         monkeypatch.setattr(transfer, "DENSE_SOLVE_MAX", cap)
         solved.clear()
         log_lam, u, _, _ = log_perron(cost)
-        measure = gibbs_measure(normalize_cost(cost))
+        measure = gibbs_plan(normalize_cost(cost)).nu
         assert solved.count(False) >= 2 and solved.count(True) == 1  # Newton ran
         results.append((log_lam, u, measure.p))
     (l1, u1, p1), (l2, u2, p2) = results
@@ -128,7 +131,7 @@ def test_no_dense_eig_lstsq_or_fractions_on_the_solver_path(monkeypatch):
     monkeypatch.setattr("ergotrans._tropical.Fraction", forbidden)
     for cost in random_family(seed=304, per_family=1):
         for beta in BETAS:
-            gibbs_measure(normalize_cost(scaled(cost, beta)))
+            gibbs_plan(normalize_cost(scaled(cost, beta))).nu
 
 
 def test_sparse_solve_builds_no_dense_chain():
@@ -167,7 +170,7 @@ def test_stationary_vector_keeps_escapes_below_machine_epsilon(monkeypatch, cap)
     # 1, so P[b, b] - 1 would cancel to 0; p is (3, 1) / 4 exactly
     monkeypatch.setattr(transfer, "DENSE_SOLVE_MAX", cap)
     values = np.log([[1.0, 1e-20, 3e-20, 1.0]])
-    measure = gibbs_measure(normalize_cost(CostTensor(values, 2, 2)))
+    measure = gibbs_plan(normalize_cost(CostTensor(values, 2, 2))).nu
     assert np.abs(measure.p - [0.75, 0.25]).max() <= 1e-12
 
 
@@ -195,13 +198,17 @@ def test_log_gth_matches_bordered_solve_and_underflowed_escapes():
     assert p[1] == 1.0
 
 
-def test_howard_agrees_with_karp():
+def howard_draws():
+    """The ``(weights, succ)`` draws of ``test_howard_agrees_with_karp``."""
     rng = np.random.default_rng(303)
     for _ in range(200):
         d = int(rng.integers(2, 4))
         n = d ** int(rng.integers(1, 5))
-        weights = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 4)
-        succ = successor_table(d, n)
+        yield rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-1, 4), successor_table(d, n)
+
+
+def test_howard_agrees_with_karp():
+    for weights, succ in howard_draws():
         mean, bias = howard_policy_iteration(weights, succ)
         exact, _ = karp_cycle_mean(weights, succ)
         assert mean == pytest.approx(float(exact), abs=1e-12 * max(1.0, abs(mean)))
@@ -222,6 +229,63 @@ def test_howard_separates_loops_a_few_ulps_apart():
     assert mean == float(karp_cycle_mean(weights, succ)[0])
     bellman = (weights + bias[succ]).max(axis=1) - mean - bias
     assert np.abs(bellman).max() <= 1e-10
+
+
+def tie_tables():
+    """Integer tables with ties; a factor lcm(1..n) makes every cycle mean an integer."""
+    rng = np.random.default_rng(306)
+    for _ in range(100):
+        d = int(rng.integers(2, 4))
+        n = d ** int(rng.integers(1, 4))
+        weights = rng.integers(-2, 3, size=(n, d)) * float(math.lcm(*range(1, n + 1)))
+        yield weights, successor_table(d, n)
+
+
+def as_cost(weights):
+    """The single-x cost whose tropical lift is ``weights``: ``c(0, a.b) = weights[b, a]``."""
+    n, d = weights.shape
+    return CostTensor(weights.reshape(1, -1), d, round(math.log(n, d)) + 1)
+
+
+def cycle_mean(weights, succ, cycle):
+    """The exact mean of ``cycle`` as a Fraction, from the edge into each next state."""
+    steps = zip(cycle, cycle[1:] + cycle[:1])
+    return sum(Fraction(float(weights[b][succ[b] == t].max())) for b, t in steps) / len(cycle)
+
+
+def test_exact_policy_iteration_agrees_with_karp_and_bellman():
+    for tied, (weights, succ) in [(False, draw) for draw in howard_draws()] + [
+            (True, table) for table in tie_tables()]:
+        m, cycle, v = exact_policy_iteration(weights, succ)
+        karp_m, karp_cycle = karp_cycle_mean(weights, succ)
+        assert isinstance(m, Fraction) and m == karp_m
+        if weights.shape[0] <= 9:
+            assert float(m) == enumerate_cycle_means(as_cost(weights))
+        assert cycle_mean(weights, succ, cycle) == m
+        assert cycle[0] == min(cycle)
+        if tied:
+            sol = maxplus_solve(as_cost(weights))
+            assert sol.subaction.tolist() == v.tolist()
+            assert sol.calibration_residual == 0.0 and sol.feasibility_residual == 0.0
+        else:
+            assert cycle == karp_cycle
+            assert v.tolist() == bellman_subaction(weights, succ, karp_m, karp_cycle).tolist()
+
+
+def test_maxplus_solve_on_1024_blocks():
+    rng = np.random.default_rng(307)
+    cost = random_cost(rng, 2, 2, 11)  # 1024 blocks, beyond Karp in Tier-1
+    sol = maxplus_solve(cost)
+    assert block_count(cost) == 1024
+    assert sol.feasibility_residual <= 1e-9
+    assert sol.calibration_residual <= 1e-9
+    assert sol.subaction.max() == 0.0
+    cycle = list(sol.optimal_cycle)
+    weights = action_view(cost).max(axis=0)
+    succ = successor_table(2, 1024)
+    assert float(cycle_mean(weights, succ, cycle)) == sol.m
+    mean = howard_policy_iteration(weights, succ)[0]
+    assert mean == pytest.approx(sol.m, abs=1e-12 * max(1.0, abs(mean)))
 
 
 def test_regression_criterion8_draws_6_and_7():

@@ -130,23 +130,18 @@ def test_subaction_random_residuals():
 
 
 def test_unconstrained_runs_one_exact_solve(monkeypatch, two_state_cost):
-    # maxplus_solve runs Karp and the Bellman solve once each; beta_sweep
-    # runs Karp once more for the exact mean its bracket is checked against
-    calls = {"karp": 0, "subaction": 0}
-    karp, subaction = zerotemp.karp_cycle_mean, zerotemp.calibrated_subaction
+    # maxplus_solve runs the exact policy iteration once; beta_sweep runs it
+    # once more for the exact mean its bracket is checked against
+    calls = []
+    exact = zerotemp.exact_policy_iteration
 
-    def counted_karp(*args):
-        calls["karp"] += 1
-        return karp(*args)
+    def counted_exact(*args):
+        calls.append(args)
+        return exact(*args)
 
-    def counted_subaction(*args):
-        calls["subaction"] += 1
-        return subaction(*args)
-
-    monkeypatch.setattr(zerotemp, "karp_cycle_mean", counted_karp)
-    monkeypatch.setattr(zerotemp, "calibrated_subaction", counted_subaction)
+    monkeypatch.setattr(zerotemp, "exact_policy_iteration", counted_exact)
     zero_temp_unconstrained(two_state_cost, betas=[1.0, 2.0])
-    assert calls == {"karp": 2, "subaction": 1}
+    assert len(calls) == 2
 
 
 # --- sweeps -----------------------------------------------------------------
