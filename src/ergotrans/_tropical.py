@@ -9,8 +9,8 @@ from the float run's final policy in Fraction space with zero tolerance:
 double-precision floats are dyadic rationals, so sums, differences and means
 of weights are exact, the maximum cycle mean it returns is the true maximum
 over the float inputs, bit for bit, and the final policy's bias is a
-calibrated subaction.  ``zerotemp.maxplus_solve`` and ``zerotemp.beta_sweep``
-each run it once per cost.
+calibrated subaction.  ``zerotemp.maxplus_solve`` runs it once per cost, and
+``zerotemp.beta_sweep`` checks its bracket against that solve's mean.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Command-line front door: parse problem documents, dispatch, report.
 
-Exit codes: 0 success, 2 validation error, 3 certificate failure (the
-report is still emitted with its residuals).  Reports are deterministic;
+Exit codes: 0 success, 2 validation error, 3 certificate or solver failure
+(one stderr line; a failed ``dual`` or ``certify`` certificate also writes
+its report with the residuals).  Reports are deterministic;
 wall time goes to stderr so repeated runs stay byte-identical.
 """
 
@@ -222,6 +223,8 @@ def _run_zerotemp(spec, args):
             "feasibility_residual": result.feasibility_residual,
             "support_equality_residual": result.support_equality_residual,
             "slack_tolerance": result.slack_tolerance,
+            "marginal_residual": result.marginal_residual,
+            "marginal_tolerance": result.marginal_tolerance,
         },
         "sweep": _sweep_rows(result.records),
     }

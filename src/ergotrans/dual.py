@@ -17,14 +17,14 @@ where ``h_y`` solves the Poisson equation ``(I - P) h_y = sum_a J(y, a|.)
 After the zero-pressure gauge shift ``phi_tilde = -phi_hat + P(c +
 phi_hat)`` the minimizer satisfies ``P(c - phi_tilde) = 0`` and
 ``integral(phi_tilde, mu)`` equals the constrained pressure.  The
-maximizing plan is the Gibbs plan of ``c - phi_tilde``; optimality is
-certified a posteriori through the pressure, marginal and duality-gap
-residuals.
+maximizing plan is the Gibbs plan of ``c - phi_tilde``, the last evaluated
+``c + phi`` shifted by its pressure: that evaluation gives the plan, ``psi``
+and the pressure, marginal and duality-gap residuals that certify it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,11 @@ from .errors import CertificateError, ConvergenceError, SpecValidationError
 from .plans import FiniteMemoryPlan, entropy, gibbs_plan, integrate_cost, marginal_x
 from .symbolic import CostTensor, Marginal
 from .transfer import (
+    _log_transfer_apply,
     MarkovMeasure,
     action_view,
     effective_cost,
     gibbs_chain,
-    log_perron,
     normalize_cost,
     poisson_solve,
 )
@@ -127,7 +127,9 @@ class DualSolution:
 
     ``phi_tilde`` carries the zero-pressure gauge (``P(c - phi_tilde) = 0``);
     ``psi`` is the log-eigenfunction of ``c - phi_tilde`` on block states
-    (the reconstructed second member of the admissible pair, min 0).
+    (the reconstructed second member of the admissible pair, min 0) and
+    ``plan`` its Gibbs plan.  ``marginal_tolerance`` is the tolerance the
+    certificate applied, relaxed after a resolution stall.
     """
 
     phi_tilde: np.ndarray
@@ -137,31 +139,36 @@ class DualSolution:
     marginal_residual: float
     duality_gap: float
     iterations: int
+    marginal_tolerance: float
+    plan: FiniteMemoryPlan = field(repr=False)
 
 
 def _certify(cost, point, mu, iterations, marginal_tol):
     """Certify the solver's last evaluation of ``c + phi``.
 
-    The Gibbs plan does not depend on the gauge, so the marginal and the
-    duality gap come from the plan the solver evaluated, built from its
-    chain; only the pressure residual and ``psi`` are taken at
-    ``c - phi_tilde``.
+    ``c - phi_tilde`` is ``c + phi`` shifted by its pressure, so ``psi`` is
+    the evaluation's eigenvector and the plan is built from its chain.  The
+    pressure residual ``max |T(psi) - psi|``, for the operator ``T`` of
+    ``c - phi_tilde``, encloses ``|P(c - phi_tilde)|`` (Collatz-Wielandt).
     """
     phi_tilde = point.normalized.log_lambda - point.phi
-    log_lam, psi, _, _ = log_perron(shift_cost(cost, -phi_tilde))
+    psi = point.normalized.log_h
+    shifted = action_view(shift_cost(cost, -phi_tilde))
+    pressure_residual = float(np.abs(_log_transfer_apply(shifted, point._succ, psi) - psi).max())
     nu = MarkovMeasure(point._weights, point._p, cost.alphabet_size)
     plan = FiniteMemoryPlan(point._jac, nu, cost.depth)
-    pressure_residual = abs(log_lam)
     marginal_residual = float(np.abs(marginal_x(plan) - mu.weights).max())
     duality_gap = abs(point.value - (integrate_cost(plan, cost) + entropy(plan)))
     solution = DualSolution(
         phi_tilde=phi_tilde,
         value=point.value,
         psi=psi,
-        pressure_residual=float(pressure_residual),
+        pressure_residual=pressure_residual,
         marginal_residual=marginal_residual,
         duality_gap=float(duality_gap),
         iterations=int(iterations),
+        marginal_tolerance=float(marginal_tol),
+        plan=plan,
     )
     if pressure_residual > PRESSURE_RESIDUAL_TOL or marginal_residual > marginal_tol:
         raise CertificateError(
@@ -169,7 +176,7 @@ def _certify(cost, point, mu, iterations, marginal_tol):
             f"marginal residual {marginal_residual:.3e}",
             solution=solution,
             residuals={
-                "pressure_residual": float(pressure_residual),
+                "pressure_residual": pressure_residual,
                 "marginal_residual": marginal_residual,
                 "duality_gap": float(duality_gap),
             },
@@ -347,12 +354,10 @@ def mu_pressure(cost, mu, **kwargs):
 
 
 def constrained_equilibrium(cost, mu, solution=None, **kwargs):
-    """The unique constrained equilibrium plan: Gibbs plan of ``c - phi_tilde``."""
-    cost = effective_cost(cost)
+    """The unique constrained equilibrium plan: the certified Gibbs plan of ``c - phi_tilde``."""
     if solution is None:
         solution = solve_dual(cost, mu, **kwargs)
-    normalized = normalize_cost(shift_cost(cost, -solution.phi_tilde))
-    return gibbs_plan(normalized)
+    return solution.plan
 
 
 def slackness_certificate(cost, phi, mu):

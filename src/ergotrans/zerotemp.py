@@ -13,8 +13,9 @@ started from the float Howard policy and finished in exact dyadic-rational
 arithmetic (floats are dyadic), gives ``m``, a critical cycle and the
 calibrated subaction, so the cycle-mean value agrees bit for bit with
 exhaustive enumeration.  ``beta_sweep`` certifies its spectral bracket
-against its own exact mean.  The spectral side stays entirely in log
-domain; ``exp(beta * c)`` is never formed.
+against that exact mean; the constrained limit takes its dual data and
+support plan from the certified dual solve at the largest beta.  The
+spectral side stays in log domain; ``exp(beta * c)`` is never formed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .transfer import (
     reduced_cost,
     successor_table,
 )
-from .dual import constrained_equilibrium, solve_dual
+from .dual import solve_dual
 
 __all__ = [
     "MaxPlusSolution",
@@ -142,18 +143,17 @@ def _check_sandwich(beta, log_lam, m, num_x, d):
         )
 
 
-def beta_sweep(cost, betas=None):
+def beta_sweep(cost, m, betas=None):
     """Log-domain eigenvalue sweep over increasing inverse temperatures.
 
     Each record carries ``log(lambda_beta)/beta`` and the gauged
     ``log(h_beta)/beta``; the bracket
     ``beta*m <= log(lambda_beta) <= beta*m + log(#X) + log(d)`` is asserted
-    at every beta, against an exact ``m`` computed here: a mean supplied
-    from outside would need the same exact solve to be trusted.
+    at every beta against ``m``, which must be the exact ``maxplus_solve(cost).m``
+    for the bracket to certify the sweep.
     """
     cost = effective_cost(cost)
     betas = _beta_grid(betas)
-    m = float(exact_policy_iteration(*_tropical_lift(cost))[0])
     records = []
     for beta in betas:
         scaled = CostTensor(cost.values * beta, cost.alphabet_size, cost.depth)
@@ -187,7 +187,7 @@ def zero_temp_unconstrained(cost, betas=None):
     """
     cost = effective_cost(cost)
     sol = maxplus_solve(cost)
-    sweep = beta_sweep(cost, betas)
+    sweep = beta_sweep(cost, sol.m, betas)
     last = sweep[-1]
     bound = np.log(cost.num_x * cost.alphabet_size) / last.beta
     gap = abs(last.log_lambda_over_beta - sol.m)
@@ -219,7 +219,9 @@ class ConstrainedZeroTemp:
 
     ``m_tilde = phi_beta / beta`` and ``V_tilde`` (scaled log-eigenfunction)
     are taken at the largest beta; the certificate, not extrapolation,
-    carries the correctness claim.
+    carries the correctness claim.  ``marginal_residual`` is the support
+    plan's x-marginal error and ``marginal_tolerance`` the tolerance its
+    dual solve applied, relaxed after a resolution stall.
     """
 
     m_tilde: np.ndarray
@@ -229,6 +231,8 @@ class ConstrainedZeroTemp:
     feasibility_residual: float
     support_equality_residual: float
     slack_tolerance: float
+    marginal_residual: float
+    marginal_tolerance: float
     records: list[BetaSweepRecord] = field(repr=False)
 
 
@@ -236,32 +240,30 @@ def zero_temp_constrained(cost, mu, betas=None):
     """Constrained zero-temperature limit via warm-started dual solves.
 
     For each beta the dual problem for ``beta * c`` is solved (warm
-    started along the grid); at the largest beta the scaled dual data must
-    satisfy the subaction inequality everywhere, with near-equality on
-    every support entry, a plan cylinder of mass above
-    ``SUPPORT_MASS_THRESHOLD``.
+    started along the grid); a dual certificate failure names its beta.
+    At the largest beta the scaled dual data must satisfy the subaction
+    inequality everywhere, with near-equality on every support entry, a
+    cylinder of mass above ``SUPPORT_MASS_THRESHOLD`` in the certified
+    plan of that dual solve.
     """
     cost = effective_cost(cost)
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
     betas = _beta_grid(betas)
 
-    records = []
-    v_warm = None
-    prev_beta = None
-    solution = None
+    records, solution, v_warm = [], None, None
     for beta in betas:
         scaled = CostTensor(cost.values * beta, cost.alphabet_size, cost.depth)
-        if v_warm is not None:
-            v_warm = v_warm * (beta / prev_beta)
+        if solution is not None:  # the last minimizer on the slice phi(0) = 0, rescaled
+            v_warm = (solution.phi_tilde[0] - solution.phi_tilde[1:]) * (beta / records[-1].beta)
         # the marginal can sweep its range over a sub-ulp potential window at
         # large beta; accept resolution stalls, the subaction certificate and
         # the value window carry the correctness claim
-        solution = solve_dual(scaled, mu, grad_tol=1e-8, v0=v_warm,
-                              allow_resolution_stall=True)
-        v_warm = solution.phi_tilde[0] - solution.phi_tilde  # slice gauge phi(0)=0
-        v_warm = v_warm[1:]
-        prev_beta = beta
+        try:
+            solution = solve_dual(scaled, mu, grad_tol=1e-8, v0=v_warm,
+                                  allow_resolution_stall=True)
+        except CertificateError as exc:
+            raise CertificateError(f"{exc} at beta={beta}", residuals=exc.residuals) from exc
         log_lam, _, _, _ = log_perron(scaled)
         records.append(BetaSweepRecord(
             beta=beta,
@@ -286,8 +288,7 @@ def zero_temp_constrained(cost, mu, betas=None):
             residuals={"feasibility_residual": feasibility_residual},
         )
 
-    plan = constrained_equilibrium(scaled, mu, solution)  # scaled by beta_max, the last beta
-    masses = plan_mass_table(plan, cost.depth)
+    masses = plan_mass_table(solution.plan, cost.depth)  # the plan at beta_max
     xs, ws = np.nonzero(masses > SUPPORT_MASS_THRESHOLD)
     support_plan = [(x, decode_word(w, cost.depth, cost.alphabet_size), mass)
                     for x, w, mass in zip(xs.tolist(), ws.tolist(), masses[xs, ws].tolist())]
@@ -307,5 +308,7 @@ def zero_temp_constrained(cost, mu, betas=None):
         feasibility_residual=feasibility_residual,
         support_equality_residual=slackness,
         slack_tolerance=float(slack_tolerance),
+        marginal_residual=solution.marginal_residual,
+        marginal_tolerance=solution.marginal_tolerance,
         records=records,
     )

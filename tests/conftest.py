@@ -482,17 +482,18 @@ class PrimalLPResult:
 
 
 def primal_lp_oracle(cost, mu):
-    """Maximize ``integral(c)`` over depth-2 plans with fixed x-marginal.
+    """Maximize ``integral(c)`` over plans of the cost's depth with fixed x-marginal.
 
-    Decision variables are cylinder masses ``q(x, ab)``; constraints are
-    shift consistency of the y-marginal and the x-marginal pin.  Solved
-    exactly by vertex enumeration (desk sizes only).
+    Decision variables are cylinder masses ``q(x, w)``; constraints are
+    shift consistency of the y-marginal and the x-marginal pin.  Depth-2
+    costs are solved exactly by vertex enumeration (desk sizes only);
+    deeper costs, beyond enumeration, by HiGHS (``highs_lp_oracle``).
     """
     cost = effective_cost(cost)
-    if cost.depth > 2:
-        raise SpecValidationError("primal oracle supports depth <= 2 costs")
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
+    if cost.depth > 2:
+        return highs_lp_oracle(cost, mu)
     num_x, d = cost.num_x, cost.alphabet_size
     n_var = num_x * d * d
     if n_var > 32:
@@ -538,6 +539,30 @@ def primal_lp_oracle(cost, mu):
     if best_value is None:
         raise ConvergenceError("vertex enumeration found no feasible basis")
     return PrimalLPResult(best_value, best_q.reshape(num_x, d * d))
+
+
+def highs_lp_oracle(cost, mu):
+    """The LP of ``primal_lp_oracle`` at any depth, solved by HiGHS.
+
+    The word ``a.b`` has index ``w = a + d*b``: its trailing block is
+    ``w // d`` and its leading block ``w mod d**(m-1)``.  The masses of
+    each block as trailing and as leading block agree.
+    """
+    from scipy.optimize import linprog
+
+    num_x, n_blocks = cost.num_x, block_count(cost)
+    words = np.arange(cost.word_count)
+    a_eq = np.zeros((n_blocks + num_x, num_x * cost.word_count))
+    for x in range(num_x):
+        cols = x * cost.word_count + words
+        np.add.at(a_eq, (words // cost.alphabet_size, cols), 1.0)
+        np.add.at(a_eq, (words % n_blocks, cols), -1.0)
+        a_eq[n_blocks + x, cols] = 1.0
+    b_eq = np.concatenate((np.zeros(n_blocks), mu.weights))
+    lp = linprog(-cost.values.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if lp.status != 0:
+        raise ConvergenceError(f"HiGHS found no optimal plan: {lp.message}")
+    return PrimalLPResult(-float(lp.fun), lp.x.reshape(num_x, cost.word_count))
 
 
 # -- cylinder tables by word-index arithmetic ------------------------------

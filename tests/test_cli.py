@@ -160,6 +160,31 @@ def test_certificate_failure_exits_3_with_report(capsys):
     assert report["results"]["marginal_residual"] > 1e-15
 
 
+def test_zerotemp_dual_certificate_failure_names_beta_without_report(monkeypatch, capsys):
+    # a dual certificate failing inside the sweep is a zerotemp failure at
+    # that beta, not a dual report of the scaled problem
+    from ergotrans import dual
+
+    monkeypatch.setattr(dual, "PRESSURE_RESIDUAL_TOL", 0.0)
+    code = main(["zerotemp", "--spec", spec_path("two_state_mu.json"), "--beta-max", "4"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("certificate failure: dual certificate failed")
+    assert lines[0].endswith("at beta=1.0")
+
+
+def test_constrained_zerotemp_reports_its_marginal_tolerance(capsys):
+    assert main(["zerotemp", "--spec", spec_path("two_state_mu.json"), "--beta-max", "256"]) == 0
+    certificate = json.loads(capsys.readouterr().out)["results"]["certificate"]
+    assert list(certificate) == ["feasibility_residual", "support_equality_residual",
+                                 "slack_tolerance", "marginal_residual", "marginal_tolerance"]
+    assert certificate["marginal_tolerance"] == 1e-7
+    assert certificate["marginal_residual"] <= 1e-7
+
+
 def test_unknown_verb_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", "--spec", spec_path("two_state.json")])

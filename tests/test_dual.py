@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from ergotrans.errors import CertificateError, ConvergenceError, SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
-from ergotrans.transfer import normalize_cost, pressure
+from ergotrans.transfer import effective_cost, normalize_cost, pressure
 from ergotrans.plans import entropy, integrate_cost, marginal_x, plan_mass_table
 from ergotrans import dual
 from ergotrans.dual import (
@@ -21,7 +22,13 @@ from ergotrans.dual import (
 )
 from ergotrans.plans import equilibrium_plan
 
-from conftest import random_cost, random_marginal, scalar_entropy, survey_draw
+from conftest import (
+    random_cost,
+    random_marginal,
+    scalar_entropy,
+    scaled_dense_log_perron,
+    survey_draw,
+)
 
 
 def grid_minimize_objective(cost, mu, radius=8.0, rounds=4, points=41):
@@ -243,6 +250,36 @@ def test_solve_dual_one_stationary_solve_per_evaluation(monkeypatch):
         assert counted["_stationary"] == counted["normalize_cost"]
 
 
+def test_solve_dual_runs_one_eigensolve_per_normalization(monkeypatch):
+    # psi and the pressure residual come from the last evaluation, so the
+    # certificate runs no eigensolve of its own
+    from ergotrans import transfer
+
+    rng = np.random.default_rng(58)
+    counted = {"normalize_cost": 0, "log_perron": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counted[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(dual, "normalize_cost")
+    for module in (transfer, dual):  # every binding a solve can call
+        if hasattr(module, "log_perron"):
+            counting(module, "log_perron")
+    for num_x, d, m in ((1, 2, 3), (2, 2, 5), (3, 2, 4), (2, 3, 3)):
+        c = random_cost(rng, num_x, d, m)
+        mu = random_marginal(rng, num_x)
+        counted.update(normalize_cost=0, log_perron=0)
+        solve_dual(c, mu)
+        assert counted["normalize_cost"] >= 1
+        assert counted["log_perron"] == counted["normalize_cost"]
+
+
 def test_solve_dual_value_matches_grid_oracle():
     rng = np.random.default_rng(47)
     for _ in range(5):
@@ -268,6 +305,36 @@ def test_solve_dual_residuals_random_instances():
         assert mu_pressure(c, mu) <= pressure(c) + 1e-10
 
 
+def test_pressure_residual_encloses_the_pressure():
+    # the residual is max |T(psi) - psi| on c - phi_tilde, whose
+    # Collatz-Wielandt bracket contains P(c - phi_tilde); the dense oracle
+    # agrees with it to about 1e-13 at these scales
+    rng = np.random.default_rng(57)
+    for _ in range(12):
+        num_x = int(rng.integers(1, 5))
+        d = int(rng.integers(2, 4))
+        m = int(rng.integers(1, 4))
+        c = effective_cost(random_cost(rng, num_x, d, m, scale=float(rng.choice([1.0, 8.0]))))
+        mu = random_marginal(rng, num_x)
+        sol = solve_dual(c, mu)
+        ref, _ = scaled_dense_log_perron(shift_cost(c, -sol.phi_tilde))
+        assert sol.pressure_residual <= 1e-9
+        assert sol.pressure_residual >= abs(ref) - 1e-12
+        # phi_tilde off by 1e-8 moves the pressure by 1e-8: the residual
+        # still encloses it, and the certificate refuses
+        point = _Evaluation(c, -sol.phi_tilde, mu.weights)
+        at_minimizer = point.normalized
+        for shift in (1e-8, -1e-8):
+            point.normalized = dataclasses.replace(
+                at_minimizer, log_lambda=at_minimizer.log_lambda + shift)
+            with pytest.raises(CertificateError, match="pressure residual") as info:
+                dual._certify(c, point, mu, 0, 1e-7)
+            residual = info.value.residuals["pressure_residual"]
+            ref, _ = scaled_dense_log_perron(shift_cost(c, -info.value.solution.phi_tilde))
+            assert abs(ref) >= 0.9e-8
+            assert residual >= abs(ref) - 1e-12
+
+
 def test_psi_is_admissible_pair_member():
     rng = np.random.default_rng(49)
     c = random_cost(rng, 2, 2, 2)
@@ -282,6 +349,18 @@ def test_psi_is_admissible_pair_member():
 
 
 # --- constrained equilibrium -----------------------------------------------
+
+
+def test_constrained_equilibrium_is_the_certified_plan():
+    rng = np.random.default_rng(59)
+    for num_x, d, m in ((1, 2, 2), (2, 2, 3), (3, 3, 2)):
+        c = random_cost(rng, num_x, d, m)
+        mu = random_marginal(rng, num_x)
+        sol = solve_dual(c, mu)
+        plan = constrained_equilibrium(c, mu, sol)
+        assert plan is sol.plan
+        assert float(np.abs(marginal_x(plan) - mu.weights).max()) == sol.marginal_residual
+        assert sol.marginal_tolerance == dual.MARGINAL_RESIDUAL_TOL
 
 
 def test_constrained_equilibrium_zero_cost_is_product():

@@ -130,8 +130,8 @@ def test_subaction_random_residuals():
 
 
 def test_unconstrained_runs_one_exact_solve(monkeypatch, two_state_cost):
-    # maxplus_solve runs the exact policy iteration once; beta_sweep runs it
-    # once more for the exact mean its bracket is checked against
+    # maxplus_solve runs the exact policy iteration once, and beta_sweep
+    # checks its bracket against that solve's mean
     calls = []
     exact = zerotemp.exact_policy_iteration
 
@@ -141,19 +141,19 @@ def test_unconstrained_runs_one_exact_solve(monkeypatch, two_state_cost):
 
     monkeypatch.setattr(zerotemp, "exact_policy_iteration", counted_exact)
     zero_temp_unconstrained(two_state_cost, betas=[1.0, 2.0])
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 # --- sweeps -----------------------------------------------------------------
 
 
 def test_beta_sweep_first_record_is_pressure(two_state_cost):
-    recs = beta_sweep(two_state_cost, [1.0, 2.0])
+    recs = beta_sweep(two_state_cost, maxplus_solve(two_state_cost).m, [1.0, 2.0])
     assert recs[0].log_lambda_over_beta == pytest.approx(pressure(two_state_cost), abs=1e-12)
 
 
 def test_beta_sweep_bound_window(two_state_cost):
-    recs = beta_sweep(two_state_cost, [1.0, 100.0])
+    recs = beta_sweep(two_state_cost, maxplus_solve(two_state_cost).m, [1.0, 100.0])
     val = recs[-1].log_lambda_over_beta
     assert math.log(2.0) <= val + 1e-12
     assert val <= math.log(2.0) + math.log(4.0) / 100.0 + 1e-12
@@ -163,14 +163,14 @@ def test_beta_sweep_gap_bound():
     rng = np.random.default_rng(63)
     c = random_cost(rng, 2, 2, 2)
     bound = math.log(4.0)
-    for rec in beta_sweep(c, [1.0, 4.0, 16.0, 64.0]):
+    for rec in beta_sweep(c, maxplus_solve(c).m, [1.0, 4.0, 16.0, 64.0]):
         assert rec.gap_to_limit <= bound / rec.beta + 1e-12
         assert rec.gap_to_limit >= -1e-12
 
 
 def test_beta_sweep_rejects_bad_grid(two_state_cost):
     with pytest.raises(SpecValidationError):
-        beta_sweep(two_state_cost, [2.0, 1.0])
+        beta_sweep(two_state_cost, maxplus_solve(two_state_cost).m, [2.0, 1.0])
 
 
 def test_default_grid():
@@ -250,6 +250,34 @@ def test_constrained_duality_inequality_vs_lp_vertices(two_state_cost):
     lp = primal_lp_oracle(two_state_cost, mu)
     # every feasible dual pair dominates every primal plan
     assert lp.value <= out.value + 1e-9
+
+
+def test_survey_233_seed16_certifies_and_matches_lp():
+    # a cold re-solve of the dual certificate's eigenproblem used to fail
+    # here ("did not certify"); the certificate now reuses the last
+    # evaluation's eigenvector
+    cost, mu = survey_draw(16, (2, 3, 3))
+    out = zero_temp_constrained(cost, mu)
+    assert out.feasibility_residual <= 1e-9
+    assert out.support_equality_residual <= out.slack_tolerance
+    window = 2.0 * math.log(6.0) / 2**14 + 1e-9
+    assert abs(out.value - primal_lp_oracle(cost, mu).value) <= window
+
+
+def test_pinned_draw_reports_its_relaxed_marginal_tolerance():
+    # survey draw (2, 3, 3), seed 2: the dual solve pins at large beta and
+    # relaxes the marginal tolerance to the measured jump; the support plan
+    # puts all its mass on x = 0, and the limit says so
+    cost, mu = survey_draw(2, (2, 3, 3))
+    out = zero_temp_constrained(cost, mu)
+    assert 0.1 <= out.marginal_residual <= out.marginal_tolerance <= 1.0
+    support_marginal = np.zeros(cost.num_x)
+    for x, _, mass in out.support_plan:
+        support_marginal[x] += mass
+    assert np.abs(support_marginal - mu.weights).max() == pytest.approx(
+        out.marginal_residual, abs=1e-6)
+    window = 2.0 * math.log(6.0) / 2**14 + 1e-9
+    assert abs(out.value - primal_lp_oracle(cost, mu).value) <= window
 
 
 # --- LP oracle ---------------------------------------------------------------
