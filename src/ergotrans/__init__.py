@@ -13,48 +13,25 @@ from .symbolic import (
     ProblemSpec,
     build_problem,
     decode_word,
-    encode_word,
     lift_depth,
     load_problem,
 )
 from .transfer import (
     MarkovMeasure,
     NormalizedCost,
-    markov_entropy_rate,
     normalize_cost,
-    nu_cylinder,
     nu_cylinder_table,
-    pressure,
 )
 from .plans import (
     FiniteMemoryPlan,
     entropy,
-    equilibrium_plan,
     export_plan,
     gibbs_plan,
-    integral_log_jacobian,
     integrate_cost,
-    jacobian_n,
     marginal_x,
-    marginal_y,
-    periodic_orbit_measure,
-    plan_cylinder,
     plan_mass_table,
-    product_plan,
-    smoothed_log_jacobian,
-    uniform_bernoulli_measure,
 )
-from .dual import (
-    DualSolution,
-    constrained_equilibrium,
-    dual_gradient,
-    dual_objective,
-    eigencurve_conditions,
-    mu_pressure,
-    shift_cost,
-    slackness_certificate,
-    solve_dual,
-)
+from .dual import DualSolution, shift_cost, solve_dual
 from .zerotemp import (
     BetaSweepRecord,
     ConstrainedZeroTemp,

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 validation error, 3 certificate or solver failure
 (one stderr line; a failed ``dual`` or ``certify`` certificate also writes
-its report with the residuals).  Reports are deterministic;
-wall time goes to stderr so repeated runs stay byte-identical.
+its report with the residuals, and ``certify`` its ``passed: false``).
+Reports are deterministic; wall time goes to stderr so repeated runs stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 
 import numpy as np
 
-from .dual import eigencurve_conditions, slackness_certificate, solve_dual
+from . import dual
 from .errors import CertificateError, ConvergenceError, SpecValidationError
 from .plans import FiniteMemoryPlan, entropy, export_plan, gibbs_plan
 from .symbolic import _numbers, load_problem
@@ -37,6 +38,8 @@ from .zerotemp import (
 VERBS = ("pressure", "gibbs", "entropy", "dual", "zerotemp", "certify")
 # a plan export holds #X * d**depth rows; the largest benchmark export is 3 * 2**12
 MAX_EXPORT_ROWS = 2**18
+# the largest duality gap a passing ``certify`` certificate may show
+DUALITY_GAP_TOL = 1e-7
 # the least value of each numeric flag; a tolerance must also be nonzero
 FLAG_MINIMUM = {"tol_eigen": 0.0, "tol_dual": 0.0, "beta_max": 1.0, "depth": 1}
 
@@ -163,24 +166,36 @@ def _dual_report(solution):
 
 def _run_dual(spec, args):
     mu = _require_mu(spec, "dual")
-    solution = solve_dual(spec.cost, mu, marginal_tol=args.tol_dual)
+    solution = dual.solve_dual(spec.cost, mu, marginal_tol=args.tol_dual)
     return _dual_report(solution)
+
+
+def _certificate(solution, marginal_tol):
+    """The ``certify`` residuals and verdict, all three from the certified dual solve."""
+    certificate = {
+        "pressure_residual": solution.pressure_residual,
+        "marginal_residual": solution.marginal_residual,
+        "duality_gap": solution.duality_gap,
+    }
+    passed = bool(
+        solution.pressure_residual <= dual.PRESSURE_RESIDUAL_TOL
+        and solution.marginal_residual <= marginal_tol
+        and solution.duality_gap <= DUALITY_GAP_TOL
+    )
+    return {"certificate": certificate, "passed": passed}
 
 
 def _run_certify(spec, args):
     mu = _require_mu(spec, "certify")
-    solution = solve_dual(spec.cost, mu, marginal_tol=args.tol_dual)
-    certificate = slackness_certificate(spec.cost, solution.phi_tilde, mu)
+    solution = dual.solve_dual(spec.cost, mu, marginal_tol=args.tol_dual)
     report = _dual_report(solution)
-    report["certificate"] = certificate
-    report["passed"] = bool(
-        certificate["pressure_residual"] <= 1e-9
-        and certificate["marginal_residual"] <= args.tol_dual
-        and certificate["duality_gap"] <= 1e-7
-    )
-    if spec.num_x == 2 and spec.cost.depth <= 2:
-        report["curve_conditions"] = eigencurve_conditions(
-            spec.cost, solution.phi_tilde, mu
+    report.update(_certificate(solution, args.tol_dual))
+    if not report["passed"]:
+        raise CertificateError(
+            f"certify certificate failed: pressure residual {solution.pressure_residual:.3e}, "
+            f"marginal residual {solution.marginal_residual:.3e}, "
+            f"duality gap {solution.duality_gap:.3e}",
+            solution=solution,
         )
     return report
 
@@ -278,10 +293,12 @@ def main(argv=None):
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except CertificateError as exc:
+        print(f"certificate failure: {exc}", file=sys.stderr)
         if exc.solution is None:
-            print(f"certificate failure: {exc}", file=sys.stderr)
             return 3
         results = _dual_report(exc.solution)
+        if args.verb == "certify":
+            results.update(_certificate(exc.solution, args.tol_dual))
         results["certificate_error"] = str(exc)
         exit_code = 3
     except ConvergenceError as exc:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ConvergenceError, SpecValidationError
-from .plans import FiniteMemoryPlan, entropy, gibbs_plan, integrate_cost, marginal_x
+from .plans import FiniteMemoryPlan, entropy, integrate_cost, marginal_x
 from .symbolic import CostTensor, Marginal
 from .transfer import (
     _log_transfer_apply,
@@ -44,13 +44,7 @@ from .transfer import (
 __all__ = [
     "DualSolution",
     "shift_cost",
-    "dual_objective",
-    "dual_gradient",
     "solve_dual",
-    "mu_pressure",
-    "constrained_equilibrium",
-    "slackness_certificate",
-    "eigencurve_conditions",
 ]
 
 PRESSURE_RESIDUAL_TOL = 1e-9
@@ -103,22 +97,6 @@ class _Evaluation:
         cross = self._mass.reshape(k, -1) @ h[self._succ].reshape(-1, k)
         cov = cross - marg[:, None] * cross.sum(axis=0)[None, :]
         return np.diag(marg) - np.outer(marg, marg) + cov + cov.T
-
-
-def dual_objective(cost, phi, mu):
-    """``F(phi) = -integral(phi, mu) + P(c + phi)``.
-
-    Invariant under adding constants to ``phi``, convex and coercive on
-    the gauge slice, which is what makes the minimization well posed.
-    """
-    mu_w = mu.weights if isinstance(mu, Marginal) else np.asarray(mu, float)
-    return _Evaluation(cost, np.asarray(phi, dtype=float), mu_w).value
-
-
-def dual_gradient(cost, phi, mu):
-    """Gradient of F: the equilibrium x-marginal of ``c + phi`` minus mu."""
-    mu_w = mu.weights if isinstance(mu, Marginal) else np.asarray(mu, float)
-    return _Evaluation(cost, np.asarray(phi, dtype=float), mu_w).grad
 
 
 @dataclass(frozen=True)
@@ -346,82 +324,3 @@ def _line_search(cost, mu_w, point, step, grad_tol):
             secant = lo + s_lo * width / (s_lo - s_hi)
             if lo + 0.01 * width < secant < hi - 0.01 * width:
                 t = secant
-
-
-def mu_pressure(cost, mu, **kwargs):
-    """Constrained pressure: value of the dual minimum."""
-    return solve_dual(cost, mu, **kwargs).value
-
-
-def constrained_equilibrium(cost, mu, solution=None, **kwargs):
-    """The unique constrained equilibrium plan: the certified Gibbs plan of ``c - phi_tilde``."""
-    if solution is None:
-        solution = solve_dual(cost, mu, **kwargs)
-    return solution.plan
-
-
-def slackness_certificate(cost, phi, mu):
-    """Residual triple certifying (or refuting) optimality of an x-potential.
-
-    All three residuals vanish exactly when ``phi`` is the dual minimizer
-    and the Gibbs plan of ``c - phi`` the constrained maximizer.
-    """
-    cost = effective_cost(cost)
-    if not isinstance(mu, Marginal):
-        mu = Marginal(mu)
-    phi = np.asarray(phi, dtype=float)
-    normalized = normalize_cost(shift_cost(cost, -phi))
-    log_lam = normalized.log_lambda
-    plan = gibbs_plan(normalized)
-    marg = marginal_x(plan)
-    value = float((mu.weights * phi).sum())
-    return {
-        "pressure_residual": abs(log_lam),
-        "marginal_residual": float(np.abs(marg - mu.weights).max()),
-        "duality_gap": abs(value - (integrate_cost(plan, cost) + entropy(plan))),
-    }
-
-
-def _adjugate(mat):
-    n = mat.shape[0]
-    adj = np.empty_like(mat)
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(mat, i, axis=0), j, axis=1)
-            adj[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return adj
-
-
-def eigencurve_conditions(cost, phi, mu):
-    """Two-point optimality conditions for #X = 2, depth-2 costs.
-
-    With ``z_x = exp(-phi_x)``, the zero-pressure set is the algebraic
-    curve ``det(z_1 W_1 + z_2 W_2 - I) = 0`` in the per-x weight matrices,
-    and stationarity of the objective pins the curve normal to the
-    direction ``(mu_1/z_1, mu_2/z_2)``.  Returns both residuals (the
-    collinearity one on unit vectors).
-    """
-    cost = effective_cost(cost)
-    if cost.num_x != 2 or cost.depth != 2:
-        raise SpecValidationError(
-            "curve conditions require #X = 2 and depth <= 2"
-        )
-    if not isinstance(mu, Marginal):
-        mu = Marginal(mu)
-    phi = np.asarray(phi, dtype=float)
-    z = np.exp(-phi)
-    view = action_view(cost)  # [x, b, a]
-    w1 = np.exp(view[0]).T  # matrix[a, b]
-    w2 = np.exp(view[1]).T
-    b_mat = z[0] * w1 + z[1] * w2 - np.eye(cost.alphabet_size)
-    det_residual = abs(float(np.linalg.det(b_mat)))
-    adj = _adjugate(b_mat)
-    normal = np.array([np.trace(adj @ w1), np.trace(adj @ w2)])
-    direction = np.array([mu.weights[0] / z[0], mu.weights[1] / z[1]])
-    n_hat = normal / np.linalg.norm(normal)
-    d_hat = direction / np.linalg.norm(direction)
-    collinearity_residual = abs(float(n_hat[0] * d_hat[1] - n_hat[1] * d_hat[0]))
-    return {
-        "det_residual": det_residual,
-        "collinearity_residual": collinearity_residual,
-    }

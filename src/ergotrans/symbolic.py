@@ -26,7 +26,6 @@ __all__ = [
     "CostTensor",
     "Marginal",
     "ProblemSpec",
-    "encode_word",
     "decode_word",
     "lift_depth",
     "build_problem",
@@ -34,21 +33,8 @@ __all__ = [
 ]
 
 
-def encode_word(symbols, alphabet_size):
-    """Canonical little-endian index of a word over {0, ..., d-1}."""
-    index = 0
-    for k, s in enumerate(symbols):
-        s = int(s)
-        if not 0 <= s < alphabet_size:
-            raise SpecValidationError(
-                f"symbol {s} at position {k} outside alphabet of size {alphabet_size}"
-            )
-        index += s * alphabet_size**k
-    return index
-
-
 def decode_word(index, length, alphabet_size):
-    """Inverse of :func:`encode_word` on ``{0, ..., d**length - 1}``."""
+    """The word of a canonical index in ``{0, ..., d**length - 1}``."""
     index = int(index)
     if not 0 <= index < alphabet_size**length:
         raise SpecValidationError(
@@ -149,11 +135,6 @@ class Marginal:
     @property
     def size(self):
         return self.weights.size
-
-    def entropy(self):
-        """Shannon entropy -sum(mu log mu) in nats."""
-        w = self.weights
-        return float(-(w * np.log(w)).sum())
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,9 @@ __all__ = [
     "successor_table",
     "reduced_cost",
     "normalize_cost",
-    "pressure",
     "gibbs_chain",
     "poisson_solve",
     "nu_cylinder_table",
-    "nu_cylinder",
-    "markov_entropy_rate",
 ]
 
 DEFAULT_EIGEN_TOL = 1e-13
@@ -355,12 +352,6 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
     raise failure
 
 
-def pressure(cost, tol=DEFAULT_EIGEN_TOL):
-    """Topological pressure of a finite-memory cost: log of the dominant eigenvalue."""
-    log_lam, _, _, _ = log_perron(cost, tol=tol)
-    return log_lam
-
-
 @dataclass(frozen=True)
 class NormalizedCost:
     """Cost whose weights sum to one over all (x, preimage) pairs at every block.
@@ -464,10 +455,6 @@ class MarkovMeasure:
     @property
     def n_blocks(self):
         return self.p.size
-
-    def push(self, dist):
-        """A distribution over blocks one step on: ``sum_{succ[b, a] = b'} q[b, a] dist[b]``."""
-        return _push(self.q, self.succ, np.asarray(dist, dtype=float))
 
 
 def _push(weights, succ, p):
@@ -579,31 +566,3 @@ def nu_cylinder_table(measure, length):
     for _ in range(block_len, length):
         table = (measure.q[np.arange(table.size) % n_blocks] * table[:, None]).ravel()
     return table
-
-
-def nu_cylinder(measure, word):
-    """Mass of a single cylinder [w0 ... w_{n-1}]."""
-    d = measure.alphabet_size
-    n_blocks = measure.n_blocks
-    block_len = measure.block_len
-    n = len(word)
-    idx = 0
-    for k, s in enumerate(word):
-        idx += int(s) * d**k
-    if n <= block_len:
-        step = d**n
-        return float(measure.p.reshape(-1, step).sum(axis=0)[idx]) if n else 1.0
-    mass = measure.p[(idx // d ** (n - block_len)) % n_blocks]
-    for k in range(n - block_len):
-        mass *= measure.q[(idx // d ** (k + 1)) % n_blocks, (idx // d**k) % d]
-    return float(mass)
-
-
-def markov_entropy_rate(measure):
-    """Kolmogorov entropy of the block-Markov measure, in nats."""
-    q = measure.q
-    blocks, actions = np.nonzero(q > 0.0)
-    mass = q[blocks, actions]
-    # each block's terms are added in the order of its actions
-    terms = np.bincount(blocks, mass * np.log(mass), minlength=q.shape[0])
-    return float(-(terms * measure.p).sum())

@@ -10,6 +10,19 @@ zero-temperature limit, the tropical lift with its exhaustive cycle-mean
 enumeration, Karp's exact cycle mean with the longest-walk Bellman solve
 for the subaction, and cylinder tables built by word-index arithmetic
 (``idx % d``, ``idx // d``) are oracles kept here for the same reason.
+
+The definitional oracles evaluate what no verb computes straight from its
+definition: word encoding, one step of a block distribution
+(``push``), single cylinder masses of measures and plans, the Markov
+entropy rate, uniform Bernoulli and periodic-orbit measures, product
+plans, finite-depth Jacobians with their log-integral and eps-smoothed
+normalized approximation, and the verified y-marginal.  The Shannon
+entropy of an x-marginal is ``scalar_entropy(mu.weights)``.  Two
+certificates of the constrained problem are kept as oracles for the
+dual solve's own: ``slackness_certificate``, which solves the
+eigenproblem of ``c - phi`` afresh, and, for #X = 2 at depth 2, the
+determinant and collinearity conditions of the zero-pressure curve
+(``eigencurve_conditions``).
 """
 
 import math
@@ -21,16 +34,27 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from ergotrans.dual import shift_cost
 from ergotrans.errors import ConvergenceError, SpecValidationError
-from ergotrans.symbolic import CostTensor, Marginal, encode_word
-from ergotrans.plans import FiniteMemoryPlan, periodic_orbit_measure, uniform_bernoulli_measure
+from ergotrans.symbolic import CostTensor, Marginal
+from ergotrans.plans import (
+    FiniteMemoryPlan,
+    entropy,
+    gibbs_plan,
+    integrate_cost,
+    marginal_x,
+    plan_mass_table,
+)
 from ergotrans.transfer import (
     DEFAULT_EIGEN_TOL,
     MarkovMeasure,
     NormalizedCost,
+    _push,
     action_view,
     block_count,
     effective_cost,
+    normalize_cost,
+    nu_cylinder_table,
     successor_table,
 )
 from ergotrans.zerotemp import maxplus_solve
@@ -628,3 +652,276 @@ def index_smoothed_log_jacobian(plan, eps, n):
     idx = np.arange(d ** (n + 1))
     values[:, idx] = out[:, idx // d, idx % d]
     return values
+
+
+# -- definitional oracles ---------------------------------------------------
+# Quantities the package never computes on a verb's path, each evaluated
+# straight from its definition: the tests hold the package's results to them.
+
+def encode_word(symbols, alphabet_size):
+    """Canonical little-endian index of a word over {0, ..., d-1}."""
+    index = 0
+    for k, s in enumerate(symbols):
+        s = int(s)
+        if not 0 <= s < alphabet_size:
+            raise SpecValidationError(
+                f"symbol {s} at position {k} outside alphabet of size {alphabet_size}"
+            )
+        index += s * alphabet_size**k
+    return index
+
+
+def push(measure, dist):
+    """A distribution over blocks one step on: ``sum_{succ[b, a] = b'} q[b, a] dist[b]``."""
+    return _push(measure.q, measure.succ, np.asarray(dist, dtype=float))
+
+
+def nu_cylinder(measure, word):
+    """Mass of a single cylinder [w0 ... w_{n-1}]."""
+    d = measure.alphabet_size
+    n_blocks = measure.n_blocks
+    block_len = measure.block_len
+    n = len(word)
+    idx = 0
+    for k, s in enumerate(word):
+        idx += int(s) * d**k
+    if n <= block_len:
+        step = d**n
+        return float(measure.p.reshape(-1, step).sum(axis=0)[idx]) if n else 1.0
+    mass = measure.p[(idx // d ** (n - block_len)) % n_blocks]
+    for k in range(n - block_len):
+        mass *= measure.q[(idx // d ** (k + 1)) % n_blocks, (idx // d**k) % d]
+    return float(mass)
+
+
+def markov_entropy_rate(measure):
+    """Kolmogorov entropy of the block-Markov measure, in nats."""
+    q = measure.q
+    blocks, actions = np.nonzero(q > 0.0)
+    mass = q[blocks, actions]
+    # each block's terms are added in the order of its actions
+    terms = np.bincount(blocks, mass * np.log(mass), minlength=q.shape[0])
+    return float(-(terms * measure.p).sum())
+
+
+def uniform_bernoulli_measure(alphabet_size, block_len=1):
+    """Uniform Bernoulli measure as a block-Markov measure."""
+    d = alphabet_size
+    n_blocks = d**block_len
+    q = np.full((n_blocks, d), 1.0 / d)
+    p = np.full(n_blocks, 1.0 / n_blocks)
+    return MarkovMeasure(q, p, d)
+
+
+def periodic_orbit_measure(word, alphabet_size, block_len=1):
+    """Invariant measure supported on the periodic orbit of a word.
+
+    Encoded as a deterministic (0/1) block chain; rows of unsupported
+    blocks are filled uniformly so the chain stays stochastic.  Every
+    ``block_len``-block of the orbit must determine the symbol that comes
+    next; a block that recurs in the period with a different next symbol
+    raises ``SpecValidationError``, since only longer blocks encode the
+    orbit.
+    """
+    d = alphabet_size
+    period = len(word)
+    n_blocks = d**block_len
+    blocks = []
+    for i in range(period):
+        blocks.append(encode_word([word[(i + j) % period] for j in range(block_len)], d))
+    p = np.zeros(n_blocks)
+    q = np.full((n_blocks, d), 1.0 / d)
+    for i in range(period):
+        p[blocks[i]] += 1.0 / period
+    follows = {}
+    for i in range(period):
+        # the block starting at i+1 is followed by prepending word[i]
+        cur = blocks[(i + 1) % period]
+        if follows.setdefault(cur, word[i]) != word[i]:
+            raise SpecValidationError(
+                f"the orbit of {list(word)} needs blocks longer than {block_len}: "
+                f"block {cur} recurs with different next symbols"
+            )
+        q[cur, :] = 0.0
+        q[cur, word[i]] = 1.0
+    return MarkovMeasure(q, p, d)
+
+
+def product_plan(mu, nu):
+    """Independent coupling of an x-marginal and an invariant y-marginal."""
+    if not isinstance(mu, Marginal):
+        mu = Marginal(mu)
+    jac = mu.weights[:, None, None] * nu.q[None, :, :]
+    memory = nu.block_len + 1
+    return FiniteMemoryPlan(jac, nu, memory)
+
+
+def plan_cylinder(plan, x, word):
+    """Mass of the cylinder ``[x, w0 ... w_{n-1}]``."""
+    if not 0 <= x < plan.num_x:
+        raise SpecValidationError(f"x={x} outside X of size {plan.num_x}")
+    d = plan.alphabet_size
+    m = plan.memory
+    n = len(word)
+    if n < 1:
+        raise SpecValidationError("cylinder word must have length >= 1")
+    idx = encode_word(word, d)
+    if n >= m:
+        head = (idx // d) % plan.nu.n_blocks
+        return float(plan.jacobian[x, head, idx % d] * nu_cylinder(plan.nu, word[1:]))
+    table = plan_mass_table(plan, n)
+    return float(table[x, idx])
+
+
+def jacobian_n(plan, n):
+    """Finite-depth Jacobian ``pi([x, y0..yn]) / nu([y1..yn])``.
+
+    Returns an array over ``(x, words of length n+1)``; entries over
+    nu-null cylinders are NaN (undefined, never zero).  For
+    ``n >= memory - 1`` the values equal the stored Jacobian exactly.
+    """
+    if n < 0:
+        raise SpecValidationError("jacobian depth must be >= 0")
+    num_x = plan.num_x
+    masses = plan_mass_table(plan, n + 1).reshape(num_x, -1, plan.alphabet_size)  # [x, tail, a]
+    tails = nu_cylinder_table(plan.nu, n)
+    out = np.full(masses.shape, np.nan)
+    ok = tails > 0.0
+    out[:, ok] = masses[:, ok] / tails[ok][None, :, None]
+    return out.reshape(num_x, -1)
+
+
+def integral_log_jacobian(plan, n):
+    """``integral(log J^n)`` over the plan's support."""
+    masses = plan_mass_table(plan, n + 1)
+    ratios = jacobian_n(plan, n)
+    pos = masses > 0.0
+    return float((masses[pos] * np.log(ratios[pos])).sum())
+
+
+def smoothed_log_jacobian(plan, eps, n):
+    """Normalized cost approximating ``log J^n`` with eps-mass on null entries.
+
+    On each nu-positive tail cylinder the plan-null entries receive
+    ``log(#B * eps)`` and the positive ones ``log(J^n - #A * eps)``, which
+    keeps the weights summing to one; nu-null tails get the uniform value.
+    The integral against the plan converges to ``integral(log J^n)`` as
+    ``eps -> 0``.
+    """
+    if eps <= 0.0:
+        raise SpecValidationError("eps must be positive")
+    if n < 1:
+        raise SpecValidationError("depth n must be >= 1")
+    d = plan.alphabet_size
+    num_x = plan.num_x
+    masses = plan_mass_table(plan, n + 1).reshape(num_x, d**n, d)  # [x, tail, a]
+    tails = nu_cylinder_table(plan.nu, n)
+    out = np.empty((num_x, d**n, d))
+    uniform = -np.log(num_x * d)
+    for v in range(d**n):
+        if tails[v] <= 0.0:
+            out[:, v, :] = uniform
+            continue
+        ratios = masses[:, v, :] / tails[v]
+        null = masses[:, v, :] == 0.0
+        n_null = int(null.sum())
+        n_pos = num_x * d - n_null
+        if n_null:
+            floor = float(ratios[~null].min()) - n_null * eps
+            if floor <= 0.0:
+                raise SpecValidationError(
+                    f"eps={eps} too large: smallest positive ratio {ratios[~null].min():.3e} "
+                    f"cannot absorb {n_null} * eps"
+                )
+            out[:, v, :][null] = np.log(n_pos * eps)
+            out[:, v, :][~null] = np.log(ratios[~null] - n_null * eps)
+        else:
+            out[:, v, :] = np.log(ratios)
+    # word index of a.v is a + d*v, the C order of (v, a)
+    tensor = CostTensor(out.reshape(num_x, -1), d, n + 1)
+    return NormalizedCost(tensor, 0.0, np.zeros(d**n))
+
+
+def marginal_y(plan):
+    """y-marginal of the plan, verified against cylinder sums."""
+    level1 = plan_mass_table(plan, 1).sum(axis=0)
+    direct = nu_cylinder_table(plan.nu, 1)
+    if np.abs(level1 - direct).max() > 1e-12:
+        raise SpecValidationError(
+            "stored y-marginal disagrees with plan cylinder sums"
+        )
+    if np.abs(push(plan.nu, plan.nu.p) - plan.nu.p).max() > 1e-12:
+        raise SpecValidationError("y-marginal stationarity residual above 1e-12")
+    return plan.nu
+
+
+# -- the constrained certificate by a re-solve -------------------------------
+
+def slackness_certificate(cost, phi, mu):
+    """Residual triple certifying (or refuting) optimality of an x-potential.
+
+    All three residuals vanish exactly when ``phi`` is the dual minimizer
+    and the Gibbs plan of ``c - phi`` the constrained maximizer.  The
+    eigenproblem of ``c - phi`` is solved afresh, apart from the solve
+    that produced ``phi``.
+    """
+    cost = effective_cost(cost)
+    if not isinstance(mu, Marginal):
+        mu = Marginal(mu)
+    phi = np.asarray(phi, dtype=float)
+    normalized = normalize_cost(shift_cost(cost, -phi))
+    log_lam = normalized.log_lambda
+    plan = gibbs_plan(normalized)
+    marg = marginal_x(plan)
+    value = float((mu.weights * phi).sum())
+    return {
+        "pressure_residual": abs(log_lam),
+        "marginal_residual": float(np.abs(marg - mu.weights).max()),
+        "duality_gap": abs(value - (integrate_cost(plan, cost) + entropy(plan))),
+    }
+
+
+def adjugate(mat):
+    """The adjugate matrix by cofactors."""
+    n = mat.shape[0]
+    adj = np.empty_like(mat)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(mat, i, axis=0), j, axis=1)
+            adj[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+def eigencurve_conditions(cost, phi, mu):
+    """Two-point optimality conditions for #X = 2, depth-2 costs.
+
+    With ``z_x = exp(-phi_x)``, the zero-pressure set is the algebraic
+    curve ``det(z_1 W_1 + z_2 W_2 - I) = 0`` in the per-x weight matrices,
+    and stationarity of the objective pins the curve normal to the
+    direction ``(mu_1/z_1, mu_2/z_2)``.  Returns both residuals (the
+    collinearity one on unit vectors).
+    """
+    cost = effective_cost(cost)
+    if cost.num_x != 2 or cost.depth != 2:
+        raise SpecValidationError(
+            "curve conditions require #X = 2 and depth <= 2"
+        )
+    if not isinstance(mu, Marginal):
+        mu = Marginal(mu)
+    phi = np.asarray(phi, dtype=float)
+    z = np.exp(-phi)
+    view = action_view(cost)  # [x, b, a]
+    w1 = np.exp(view[0]).T  # matrix[a, b]
+    w2 = np.exp(view[1]).T
+    b_mat = z[0] * w1 + z[1] * w2 - np.eye(cost.alphabet_size)
+    det_residual = abs(float(np.linalg.det(b_mat)))
+    adj = adjugate(b_mat)
+    normal = np.array([np.trace(adj @ w1), np.trace(adj @ w2)])
+    direction = np.array([mu.weights[0] / z[0], mu.weights[1] / z[1]])
+    n_hat = normal / np.linalg.norm(normal)
+    d_hat = direction / np.linalg.norm(direction)
+    collinearity_residual = abs(float(n_hat[0] * d_hat[1] - n_hat[1] * d_hat[0]))
+    return {
+        "det_residual": det_residual,
+        "collinearity_residual": collinearity_residual,
+    }

@@ -104,9 +104,63 @@ def test_dual_verb_closed_form(capsys):
 
 def test_certify_verb_passes(capsys):
     assert main(["certify", "--spec", spec_path("two_state_mu.json")]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["results"]["passed"] is True
-    assert "curve_conditions" in report["results"]
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["passed"] is True
+    certificate = results["certificate"]
+    assert list(certificate) == ["pressure_residual", "marginal_residual", "duality_gap"]
+    # the certificate is the dual solve's own: no second eigensolve, no second answer
+    assert all(certificate[key] == results[key] for key in certificate)
+    assert "curve_conditions" not in results
+
+
+def _eigensolves(monkeypatch):
+    """Count every ``log_perron`` call, whichever module's binding it goes through."""
+    from ergotrans import cli, transfer
+
+    calls = []
+    for module in (transfer, cli):
+        solve = module.log_perron
+
+        def counting(*args, solve=solve, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(module, "log_perron", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["two_state_mu.json", "two_x_mu.json", "zero_cost_mu.json"])
+def test_certify_runs_the_eigensolves_of_dual_and_no_more(monkeypatch, capsys, name):
+    calls = _eigensolves(monkeypatch)
+    counts = {}
+    for verb in ("dual", "certify"):
+        calls.clear()
+        assert main([verb, "--spec", spec_path(name)]) == 0
+        counts[verb] = len(calls)
+    capsys.readouterr()
+    assert counts["dual"] >= 1
+    assert counts["certify"] == counts["dual"]
+
+
+def test_certify_residuals_agree_with_a_fresh_eigensolve(tmp_path, capsys):
+    # the certificate comes from the dual solve's last evaluation; solving
+    # the eigenproblem of c - phi_tilde afresh gives the same residuals
+    import numpy as np
+    from conftest import random_cost, random_marginal, slackness_certificate
+
+    rng = np.random.default_rng(61)
+    spec = tmp_path / "spec.json"
+    for _ in range(12):
+        num_x, d, m = int(rng.integers(1, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 4))
+        cost, mu = random_cost(rng, num_x, d, m), random_marginal(rng, num_x)
+        spec.write_text(json.dumps({"num_x": num_x, "alphabet_size": d, "depth": m,
+                                    "cost": cost.values.ravel().tolist(),
+                                    "mu": mu.weights.tolist()}))
+        assert main(["certify", "--spec", str(spec)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        fresh = slackness_certificate(cost, np.array(results["phi_tilde"]), mu)
+        for key in ("marginal_residual", "duality_gap"):
+            assert abs(results["certificate"][key] - fresh[key]) <= 1e-12, key
 
 
 def test_zerotemp_unconstrained_report(capsys):
@@ -155,9 +209,30 @@ def test_certificate_failure_exits_3_with_report(capsys):
     # about 4e-12, which a 1e-15 marginal tolerance refuses
     code = main(["dual", "--spec", spec_path("two_x_mu.json"), "--tol-dual", "1e-15"])
     assert code == 3
-    report = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
     assert "certificate_error" in report["results"]
     assert report["results"]["marginal_residual"] > 1e-15
+    lines = [line for line in captured.err.splitlines() if not line.startswith("wall_time_ms=")]
+    assert len(lines) == 1
+    assert lines[0].startswith("certificate failure: dual certificate failed")
+
+
+def test_certify_not_passed_exits_3_with_report(monkeypatch, capsys):
+    # a duality gap above the certify tolerance fails the certificate even
+    # when the dual solve itself certified
+    from ergotrans import cli
+
+    monkeypatch.setattr(cli, "DUALITY_GAP_TOL", 0.0)
+    assert main(["certify", "--spec", spec_path("two_state_mu.json")]) == 3
+    captured = capsys.readouterr()
+    results = json.loads(captured.out)["results"]
+    assert results["passed"] is False
+    assert results["certificate"]["duality_gap"] > 0.0
+    assert "certificate_error" in results
+    lines = [line for line in captured.err.splitlines() if not line.startswith("wall_time_ms=")]
+    assert len(lines) == 1
+    assert lines[0].startswith("certificate failure: certify certificate failed")
 
 
 def test_zerotemp_dual_certificate_failure_names_beta_without_report(monkeypatch, capsys):

@@ -6,27 +6,18 @@ import pytest
 
 from ergotrans.errors import CertificateError, ConvergenceError, SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
-from ergotrans.transfer import effective_cost, normalize_cost, pressure
-from ergotrans.plans import entropy, integrate_cost, marginal_x, plan_mass_table
+from ergotrans.transfer import effective_cost, log_perron, normalize_cost
+from ergotrans.plans import entropy, gibbs_plan, integrate_cost, marginal_x, plan_mass_table
 from ergotrans import dual
-from ergotrans.dual import (
-    _Evaluation,
-    constrained_equilibrium,
-    dual_gradient,
-    dual_objective,
-    eigencurve_conditions,
-    mu_pressure,
-    shift_cost,
-    slackness_certificate,
-    solve_dual,
-)
-from ergotrans.plans import equilibrium_plan
+from ergotrans.dual import _Evaluation, shift_cost, solve_dual
 
 from conftest import (
+    eigencurve_conditions,
     random_cost,
     random_marginal,
     scalar_entropy,
     scaled_dense_log_perron,
+    slackness_certificate,
     survey_draw,
 )
 
@@ -38,7 +29,7 @@ def grid_minimize_objective(cost, mu, radius=8.0, rounds=4, points=41):
     best_v, best_f = 0.0, np.inf
     for _ in range(rounds):
         for v in np.linspace(center - width, center + width, points):
-            f = dual_objective(cost, np.array([0.0, v]), mu)
+            f = _Evaluation(cost, np.array([0.0, v]), mu.weights).value
             if f < best_f:
                 best_f, best_v = f, v
         center, width = best_v, width * 2.5 / (points - 1)
@@ -52,7 +43,8 @@ def test_objective_at_zero_is_pressure():
     rng = np.random.default_rng(40)
     c = random_cost(rng, 2, 2, 2)
     mu = Marginal([0.4, 0.6])
-    assert dual_objective(c, np.zeros(2), mu) == pytest.approx(pressure(c), abs=1e-13)
+    value = _Evaluation(c, np.zeros(2), mu.weights).value
+    assert value == pytest.approx(log_perron(c)[0], abs=1e-13)
 
 
 def test_objective_gauge_invariance():
@@ -63,15 +55,15 @@ def test_objective_gauge_invariance():
         mu = random_marginal(rng, num_x)
         phi = rng.normal(size=num_x)
         shift = float(rng.normal())
-        f0 = dual_objective(c, phi, mu)
-        f1 = dual_objective(c, phi + shift, mu)
+        f0 = _Evaluation(c, phi, mu.weights).value
+        f1 = _Evaluation(c, phi + shift, mu.weights).value
         assert abs(f0 - f1) <= 1e-12 * max(1.0, abs(f0))
 
 
 def test_objective_constant_cost_uniform():
     c = CostTensor(np.zeros((2, 4)), 2, 2)
     mu = Marginal([0.5, 0.5])
-    assert dual_objective(c, np.zeros(2), mu) == pytest.approx(math.log(4.0), abs=1e-13)
+    assert _Evaluation(c, np.zeros(2), mu.weights).value == pytest.approx(math.log(4.0), abs=1e-13)
 
 
 def test_objective_convex_along_segments():
@@ -82,22 +74,24 @@ def test_objective_convex_along_segments():
         mu = random_marginal(rng, num_x)
         p1 = rng.normal(size=num_x)
         p2 = rng.normal(size=num_x)
-        mid = dual_objective(c, 0.5 * (p1 + p2), mu)
-        assert mid <= 0.5 * dual_objective(c, p1, mu) + 0.5 * dual_objective(c, p2, mu) + 1e-10
+        mid = _Evaluation(c, 0.5 * (p1 + p2), mu.weights).value
+        f1 = _Evaluation(c, p1, mu.weights).value
+        f2 = _Evaluation(c, p2, mu.weights).value
+        assert mid <= 0.5 * f1 + 0.5 * f2 + 1e-10
 
 
 def test_objective_coercive_along_rays():
     rng = np.random.default_rng(43)
     c = random_cost(rng, 3, 2, 2)
     mu = random_marginal(rng, 3)
-    f0 = dual_objective(c, np.zeros(3), mu)
+    f0 = _Evaluation(c, np.zeros(3), mu.weights).value
     for _ in range(5):
         direction = rng.normal(size=2)
         direction /= np.linalg.norm(direction)
         rates = []
         for t in (10.0, 20.0, 40.0):
             phi = np.concatenate(([0.0], t * direction))
-            rates.append((dual_objective(c, phi, mu) - f0) / t)
+            rates.append((_Evaluation(c, phi, mu.weights).value - f0) / t)
         # convexity makes the difference quotients nondecreasing; growth is linear
         assert rates[0] <= rates[1] + 1e-10
         assert rates[1] <= rates[2] + 1e-10
@@ -109,7 +103,7 @@ def test_objective_coercive_along_rays():
 
 def test_gradient_zero_cost_uniform_is_zero():
     c = CostTensor(np.zeros((2, 4)), 2, 2)
-    g = dual_gradient(c, np.zeros(2), Marginal([0.5, 0.5]))
+    g = _Evaluation(c, np.zeros(2), Marginal([0.5, 0.5]).weights).grad
     assert np.abs(g).max() <= 1e-13
 
 
@@ -120,13 +114,14 @@ def test_gradient_matches_central_differences():
         c = random_cost(rng, num_x, 2, 2)
         mu = random_marginal(rng, num_x)
         phi = rng.normal(size=num_x)
-        g = dual_gradient(c, phi, mu)
+        g = _Evaluation(c, phi, mu.weights).grad
         step = 1e-5
         fd = np.empty(num_x)
         for j in range(num_x):
             e = np.zeros(num_x)
             e[j] = step
-            fd[j] = (dual_objective(c, phi + e, mu) - dual_objective(c, phi - e, mu)) / (2 * step)
+            fd[j] = (_Evaluation(c, phi + e, mu.weights).value
+                     - _Evaluation(c, phi - e, mu.weights).value) / (2 * step)
         assert np.abs(g - fd).max() / max(np.abs(fd).max(), 1e-8) <= 1e-6
 
 
@@ -135,7 +130,7 @@ def test_gradient_vanishes_at_minimizer():
     c = random_cost(rng, 2, 2, 2)
     mu = random_marginal(rng, 2)
     sol = solve_dual(c, mu)
-    g = dual_gradient(c, -sol.phi_tilde, mu)
+    g = _Evaluation(c, -sol.phi_tilde, mu.weights).grad
     assert np.abs(g).max() <= 1e-7
 
 
@@ -154,7 +149,8 @@ def test_exact_hessian_matches_central_differences():
         for j in range(num_x):
             e = np.zeros(num_x)
             e[j] = step
-            fd[:, j] = (dual_gradient(c, phi + e, mu) - dual_gradient(c, phi - e, mu)) / (2 * step)
+            fd[:, j] = (_Evaluation(c, phi + e, mu.weights).grad
+                        - _Evaluation(c, phi - e, mu.weights).grad) / (2 * step)
         assert np.abs(hess - hess.T).max() <= 1e-14
         assert np.abs(hess - fd).max() <= 1e-7 * max(np.abs(fd).max(), 1.0)
         # the gauge direction is its null vector
@@ -170,7 +166,7 @@ def test_solve_dual_zero_cost_closed_form():
     sol = solve_dual(c, mu)
     assert sol.phi_tilde[0] == pytest.approx(math.log(6.0), abs=1e-8)
     assert sol.phi_tilde[1] == pytest.approx(math.log(3.0), abs=1e-8)
-    assert sol.value == pytest.approx(math.log(2.0) + mu.entropy(), abs=1e-9)
+    assert sol.value == pytest.approx(math.log(2.0) + scalar_entropy(mu.weights), abs=1e-9)
 
 
 def test_solve_dual_zero_cost_uniform():
@@ -181,7 +177,8 @@ def test_solve_dual_zero_cost_uniform():
 
 
 def test_solve_dual_equilibrium_marginal_gives_constant(two_state_cost):
-    plan, value = equilibrium_plan(two_state_cost)
+    normalized = normalize_cost(two_state_cost)
+    plan, value = gibbs_plan(normalized), normalized.log_lambda
     mu = Marginal(marginal_x(plan))
     sol = solve_dual(two_state_cost, mu)
     assert np.abs(sol.phi_tilde - value).max() <= 1e-7
@@ -192,7 +189,7 @@ def test_solve_dual_single_x_is_classical():
     rng = np.random.default_rng(46)
     c = random_cost(rng, 1, 2, 2)
     sol = solve_dual(c, Marginal([1.0]))
-    assert sol.phi_tilde[0] == pytest.approx(pressure(c), abs=1e-12)
+    assert sol.phi_tilde[0] == pytest.approx(log_perron(c)[0], abs=1e-12)
     cert = slackness_certificate(c, sol.phi_tilde, Marginal([1.0]))
     assert cert["pressure_residual"] <= 1e-9
     assert cert["marginal_residual"] <= 1e-12
@@ -302,7 +299,7 @@ def test_solve_dual_residuals_random_instances():
         assert sol.pressure_residual <= 1e-9
         assert sol.marginal_residual <= 1e-7
         assert sol.duality_gap <= 1e-7
-        assert mu_pressure(c, mu) <= pressure(c) + 1e-10
+        assert solve_dual(c, mu).value <= log_perron(c)[0] + 1e-10
 
 
 def test_pressure_residual_encloses_the_pressure():
@@ -357,8 +354,7 @@ def test_constrained_equilibrium_is_the_certified_plan():
         c = random_cost(rng, num_x, d, m)
         mu = random_marginal(rng, num_x)
         sol = solve_dual(c, mu)
-        plan = constrained_equilibrium(c, mu, sol)
-        assert plan is sol.plan
+        plan = sol.plan
         assert float(np.abs(marginal_x(plan) - mu.weights).max()) == sol.marginal_residual
         assert sol.marginal_tolerance == dual.MARGINAL_RESIDUAL_TOL
 
@@ -366,16 +362,16 @@ def test_constrained_equilibrium_is_the_certified_plan():
 def test_constrained_equilibrium_zero_cost_is_product():
     c = CostTensor(np.zeros((2, 4)), 2, 2)
     mu = Marginal([1.0 / 3.0, 2.0 / 3.0])
-    plan = constrained_equilibrium(c, mu)
+    plan = solve_dual(c, mu).plan
     table = plan_mass_table(plan, 1)
     expected = mu.weights[:, None] / 2.0
     assert np.abs(table - expected).max() <= 1e-9
 
 
 def test_constrained_equilibrium_matches_unconstrained_at_its_marginal(two_state_cost):
-    plan0, _ = equilibrium_plan(two_state_cost)
+    plan0 = gibbs_plan(normalize_cost(two_state_cost))
     mu = Marginal(marginal_x(plan0))
-    plan = constrained_equilibrium(two_state_cost, mu)
+    plan = solve_dual(two_state_cost, mu).plan
     t0 = plan_mass_table(plan0, 2)
     t1 = plan_mass_table(plan, 2)
     assert np.abs(t0 - t1).max() <= 1e-8
@@ -388,7 +384,7 @@ def test_constrained_equilibrium_duality_equality():
         c = random_cost(rng, num_x, 2, 2)
         mu = random_marginal(rng, num_x)
         sol = solve_dual(c, mu)
-        plan = constrained_equilibrium(c, mu, solution=sol)
+        plan = sol.plan
         assert np.abs(marginal_x(plan) - mu.weights).max() <= 1e-7
         sup_side = integrate_cost(plan, c) + entropy(plan)
         assert abs(sol.value - sup_side) <= 1e-7
@@ -415,7 +411,7 @@ def test_certificate_detects_perturbation():
     sol = solve_dual(c, mu)
     phi = sol.phi_tilde + np.array([0.1, 0.0])
     # re-normalize so the pressure residual stays zero
-    phi = phi + pressure(shift_cost(c, -phi))
+    phi = phi + log_perron(shift_cost(c, -phi))[0]
     cert = slackness_certificate(c, phi, mu)
     assert cert["pressure_residual"] <= 1e-9
     assert cert["marginal_residual"] > 1e-4
@@ -436,7 +432,7 @@ def test_solver_raises_certificate_error_on_tight_tolerance():
 
 
 def test_curve_conditions_at_solver_output(two_state_cost):
-    plan, _ = equilibrium_plan(two_state_cost)
+    plan = gibbs_plan(normalize_cost(two_state_cost))
     mu = Marginal(marginal_x(plan))
     sol = solve_dual(two_state_cost, mu)
     out = eigencurve_conditions(two_state_cost, sol.phi_tilde, mu)
@@ -449,7 +445,7 @@ def test_curve_conditions_split_on_curve_point(two_state_cost):
     sol = solve_dual(two_state_cost, mu)
     # another point on the zero-pressure curve: gauge-break then re-normalize
     phi = sol.phi_tilde + np.array([0.4, 0.0])
-    phi = phi + pressure(shift_cost(two_state_cost, -phi))
+    phi = phi + log_perron(shift_cost(two_state_cost, -phi))[0]
     out = eigencurve_conditions(two_state_cost, phi, mu)
     assert out["det_residual"] <= 1e-9
     assert out["collinearity_residual"] > 1e-3
@@ -474,7 +470,7 @@ def test_curve_conditions_dimension_guard():
 
 
 def _slice_gradient(cost, mu, v):
-    return float(dual_gradient(cost, np.array([0.0, v]), mu)[1])
+    return float(_Evaluation(cost, np.array([0.0, v]), mu.weights).grad[1])
 
 
 def test_resolution_stall_returns_a_point_at_the_sign_change():

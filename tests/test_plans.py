@@ -4,42 +4,42 @@ import numpy as np
 import pytest
 
 from ergotrans.errors import SpecValidationError
-from ergotrans.symbolic import CostTensor, Marginal, decode_word, encode_word
-from ergotrans.transfer import markov_entropy_rate, normalize_cost, nu_cylinder_table
+from ergotrans.symbolic import CostTensor, Marginal, decode_word
+from ergotrans.transfer import normalize_cost, nu_cylinder_table
 from ergotrans.plans import (
-    FiniteMemoryPlan,
     entropy,
-    equilibrium_plan,
     export_plan,
     gibbs_plan,
-    integral_log_jacobian,
     integrate_cost,
-    jacobian_n,
     marginal_x,
-    marginal_y,
-    periodic_orbit_measure,
-    plan_cylinder,
     plan_mass_table,
-    product_plan,
-    smoothed_log_jacobian,
-    uniform_bernoulli_measure,
 )
-from ergotrans.transfer import pressure
 
 from conftest import (
     copy_plan,
     dense_q,
+    encode_word,
     index_jacobian_n,
     index_nu_cylinder_table,
     index_plan_mass_table,
     index_smoothed_log_jacobian,
+    integral_log_jacobian,
+    jacobian_n,
+    marginal_y,
+    markov_entropy_rate,
+    periodic_orbit_measure,
+    plan_cylinder,
+    product_plan,
+    push,
     random_cost,
     random_marginal,
     random_markov_measure,
     random_normalized_values,
     random_plan,
     scalar_entropy,
+    smoothed_log_jacobian,
     two_atom_plan,
+    uniform_bernoulli_measure,
 )
 
 
@@ -232,7 +232,7 @@ def test_periodic_orbit_with_recurring_block_needs_longer_blocks():
         blocks = [encode_word([word[(i + j) % 3] for j in range(2)], 2) for i in range(3)]
         assert np.array_equal(nu.p[blocks], np.full(3, 1.0 / 3.0))
         assert nu.p.sum() == pytest.approx(1.0, abs=1e-15)
-        assert np.abs(nu.push(nu.p) - nu.p).max() <= 1e-15
+        assert np.abs(push(nu, nu.p) - nu.p).max() <= 1e-15
 
 
 def test_entropy_two_atom_plan():
@@ -248,7 +248,7 @@ def test_entropy_product_identity():
         nu = random_markov_measure(rng, d, 1)
         plan = product_plan(mu, nu)
         assert entropy(plan) == pytest.approx(
-            mu.entropy() + markov_entropy_rate(nu), abs=1e-10
+            scalar_entropy(mu.weights) + markov_entropy_rate(nu), abs=1e-10
         )
 
 
@@ -277,7 +277,8 @@ def test_entropy_from_definition_agreement():
 
 
 def test_equilibrium_plan_value_identity(two_state_cost):
-    plan, value = equilibrium_plan(two_state_cost)
+    normalized = normalize_cost(two_state_cost)
+    plan, value = gibbs_plan(normalized), normalized.log_lambda
     assert integrate_cost(plan, two_state_cost) + entropy(plan) == pytest.approx(
         value, abs=1e-10
     )
@@ -285,7 +286,8 @@ def test_equilibrium_plan_value_identity(two_state_cost):
 
 def test_equilibrium_plan_zero_cost_maximal_entropy():
     c = CostTensor(np.zeros((2, 4)), 2, 2)
-    plan, value = equilibrium_plan(c)
+    normalized = normalize_cost(c)
+    plan, value = gibbs_plan(normalized), normalized.log_lambda
     assert value == pytest.approx(math.log(4.0), abs=1e-12)
     assert np.allclose(plan_mass_table(plan, 1), 0.25, atol=1e-12)
     assert entropy(plan) == pytest.approx(math.log(4.0), abs=1e-12)
@@ -295,7 +297,8 @@ def test_equilibrium_plan_x_only_cost():
     # c depends on x alone: x-marginal is the softmax of f, y-marginal uniform
     f = np.array([0.3, -0.5, 1.1])
     c = CostTensor(np.repeat(f[:, None], 4, axis=1), 2, 2)
-    plan, value = equilibrium_plan(c)
+    normalized = normalize_cost(c)
+    plan, value = gibbs_plan(normalized), normalized.log_lambda
     softmax = np.exp(f) / np.exp(f).sum()
     assert np.abs(marginal_x(plan) - softmax).max() <= 1e-12
     assert np.allclose(plan.nu.p, 0.5, atol=1e-12)
@@ -340,7 +343,7 @@ def test_marginal_guard_rejects_point_mass():
 
 
 def test_marginal_x_two_state(two_state_cost):
-    plan, _ = equilibrium_plan(two_state_cost)
+    plan = gibbs_plan(normalize_cost(two_state_cost))
     marg = marginal_x(plan)
     assert np.abs(marg - [0.4319, 0.5680]).max() <= 2e-4
     assert marg.sum() == pytest.approx(1.0, abs=1e-12)

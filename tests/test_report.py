@@ -166,10 +166,10 @@ def test_render_sparse_rows_match_legacy():
 
 
 def test_action_layout_transition_renders_as_dense_matrix():
-    from conftest import dense_q, random_cost
+    from conftest import dense_q, periodic_orbit_measure, random_cost
 
     from ergotrans.cli import _transition_rows
-    from ergotrans.plans import gibbs_plan, periodic_orbit_measure
+    from ergotrans.plans import gibbs_plan
     from ergotrans.transfer import normalize_cost
 
     rng = np.random.default_rng(88)

@@ -5,26 +5,25 @@ import pytest
 
 from ergotrans.errors import SpecValidationError
 from ergotrans.plans import gibbs_plan
-from ergotrans.symbolic import CostTensor, decode_word, encode_word
-from ergotrans.transfer import (
-    log_perron,
-    markov_entropy_rate,
-    normalize_cost,
-    nu_cylinder,
-    nu_cylinder_table,
-    pressure,
-)
+from ergotrans.symbolic import CostTensor, decode_word
+from ergotrans.transfer import log_perron, normalize_cost, nu_cylinder_table
 
 from conftest import (
     REF_H,
     REF_LAMBDA,
     assemble_transfer,
     dense_q,
+    encode_word,
+    markov_entropy_rate,
     normalize_with_solution,
+    nu_cylinder,
+    periodic_orbit_measure,
     perron_solve,
+    push,
     random_cost,
     random_markov_measure,
     stationary_vector,
+    uniform_bernoulli_measure,
 )
 
 
@@ -113,7 +112,7 @@ def test_spectral_consistency_on_transfer_instances():
         sol = perron_solve(tm)
         lam_ref = float(np.max(np.linalg.eigvals(tm.matrix).real))
         assert sol.lam == pytest.approx(lam_ref, abs=1e-10 * max(1.0, lam_ref))
-        assert math.exp(pressure(c)) == pytest.approx(sol.lam, rel=1e-12)
+        assert math.exp(log_perron(c)[0]) == pytest.approx(sol.lam, rel=1e-12)
 
 
 def test_normalize_two_state_matches_reference_split(two_state_cost):
@@ -159,19 +158,19 @@ def test_normalize_rejects_bad_eigendata(two_state_cost):
 
 
 def test_pressure_two_state(two_state_cost):
-    assert pressure(two_state_cost) == pytest.approx(math.log(REF_LAMBDA), abs=1e-12)
+    assert log_perron(two_state_cost)[0] == pytest.approx(math.log(REF_LAMBDA), abs=1e-12)
 
 
 def test_pressure_constant_cost():
     c = CostTensor(np.full((3, 4), 0.25), 2, 2)
-    assert pressure(c) == pytest.approx(0.25 + math.log(6.0), abs=1e-12)
+    assert log_perron(c)[0] == pytest.approx(0.25 + math.log(6.0), abs=1e-12)
 
 
 def test_pressure_additive_in_constants():
     rng = np.random.default_rng(15)
     c = random_cost(rng, 2, 2, 2)
     shifted = CostTensor(c.values + 0.7, 2, 2)
-    assert pressure(shifted) == pytest.approx(pressure(c) + 0.7, abs=1e-11)
+    assert log_perron(shifted)[0] == pytest.approx(log_perron(c)[0] + 0.7, abs=1e-11)
 
 
 def test_pressure_axioms_random_pairs():
@@ -182,16 +181,16 @@ def test_pressure_axioms_random_pairs():
         m = int(rng.integers(1, 4))
         c1 = random_cost(rng, num_x, d, m)
         c2 = random_cost(rng, num_x, d, m)
-        p1, p2 = pressure(c1), pressure(c2)
+        p1, p2 = log_perron(c1)[0], log_perron(c2)[0]
         # monotone
         upper = CostTensor(np.maximum(c1.values, c2.values), d, m)
-        assert pressure(upper) >= max(p1, p2) - 1e-9
+        assert log_perron(upper)[0] >= max(p1, p2) - 1e-9
         # 1-Lipschitz in sup norm
         assert abs(p1 - p2) <= np.abs(c1.values - c2.values).max() + 1e-9
         # convex along the segment
         for t in (0.25, 0.5, 0.75):
             mix = CostTensor(t * c1.values + (1 - t) * c2.values, d, m)
-            assert pressure(mix) <= t * p1 + (1 - t) * p2 + 1e-9
+            assert log_perron(mix)[0] <= t * p1 + (1 - t) * p2 + 1e-9
 
 
 def test_normalization_closure():
@@ -199,7 +198,7 @@ def test_normalization_closure():
     for _ in range(10):
         c = random_cost(rng, int(rng.integers(1, 4)), 2, 2)
         nc = normalize_cost(c)
-        assert abs(pressure(nc.cost)) <= 1e-10
+        assert abs(log_perron(nc.cost)[0]) <= 1e-10
 
 
 def test_gibbs_measure_two_state(two_state_cost):
@@ -209,7 +208,7 @@ def test_gibbs_measure_two_state(two_state_cost):
     q = dense_q(measure)
     assert np.abs(q.sum(axis=0) - 1.0).max() <= 1e-12
     assert np.abs(q @ measure.p - measure.p).max() <= 1e-12
-    assert np.abs(measure.push(measure.p) - q @ measure.p).max() <= 1e-15
+    assert np.abs(push(measure, measure.p) - q @ measure.p).max() <= 1e-15
 
 
 def test_gibbs_measure_uniform_cost():
@@ -257,15 +256,12 @@ def test_nu_cylinder_consistency(two_state_cost):
 
 
 def test_markov_entropy_rate_uniform():
-    from ergotrans.plans import uniform_bernoulli_measure
-
     measure = uniform_bernoulli_measure(3, 1)
     assert markov_entropy_rate(measure) == pytest.approx(math.log(3.0), abs=1e-13)
 
 
 def test_markov_entropy_rate_matches_dense_sum_exactly():
     """The sparse sum adds each column's terms in the dense column-sum order."""
-    from ergotrans.plans import periodic_orbit_measure
 
     def dense(measure):
         q = dense_q(measure)

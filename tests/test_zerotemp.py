@@ -6,9 +6,9 @@ import pytest
 import ergotrans.zerotemp as zerotemp
 from ergotrans.errors import SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
-from ergotrans.transfer import effective_cost, pressure
+from ergotrans.transfer import effective_cost, log_perron
 from ergotrans.plans import integrate_cost
-from ergotrans.dual import shift_cost
+from ergotrans.dual import solve_dual
 from ergotrans.zerotemp import (
     beta_sweep,
     default_beta_grid,
@@ -149,7 +149,7 @@ def test_unconstrained_runs_one_exact_solve(monkeypatch, two_state_cost):
 
 def test_beta_sweep_first_record_is_pressure(two_state_cost):
     recs = beta_sweep(two_state_cost, maxplus_solve(two_state_cost).m, [1.0, 2.0])
-    assert recs[0].log_lambda_over_beta == pytest.approx(pressure(two_state_cost), abs=1e-12)
+    assert recs[0].log_lambda_over_beta == pytest.approx(log_perron(two_state_cost)[0], abs=1e-12)
 
 
 def test_beta_sweep_bound_window(two_state_cost):
@@ -234,13 +234,11 @@ def test_constrained_agrees_with_lp_oracle(two_state_cost):
 
 
 def test_constrained_value_dominates_beta_plans(two_state_cost):
-    from ergotrans.dual import constrained_equilibrium
-
     mu = Marginal([0.5, 0.5])
     lp = primal_lp_oracle(two_state_cost, mu)
     for beta in (1.0, 4.0, 16.0):
         scaled = CostTensor(two_state_cost.values * beta, 2, 2)
-        plan = constrained_equilibrium(scaled, mu)
+        plan = solve_dual(scaled, mu).plan
         assert integrate_cost(plan, two_state_cost) <= lp.value + 1e-9
 
 
