@@ -34,6 +34,7 @@ from .plans import (
 from .dual import DualSolution, shift_cost, solve_dual
 from .zerotemp import (
     BetaSweepRecord,
+    ConstrainedSweepRecord,
     ConstrainedZeroTemp,
     MaxPlusSolution,
     UnconstrainedZeroTemp,

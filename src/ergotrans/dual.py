@@ -153,11 +153,6 @@ def _certify(cost, point, mu, iterations, marginal_tol):
             f"dual certificate failed: pressure residual {pressure_residual:.3e}, "
             f"marginal residual {marginal_residual:.3e}",
             solution=solution,
-            residuals={
-                "pressure_residual": pressure_residual,
-                "marginal_residual": marginal_residual,
-                "duality_gap": float(duality_gap),
-            },
         )
     return solution
 

@@ -25,11 +25,10 @@ class ConvergenceError(RuntimeError):
 class CertificateError(RuntimeError):
     """Raised when a solve finishes but its optimality certificate fails.
 
-    The partially certified result is attached so callers can still report
-    residuals.
+    The partially certified result, if any, is attached so callers can
+    still report its residuals.
     """
 
-    def __init__(self, message, solution=None, residuals=None):
+    def __init__(self, message, solution=None):
         super().__init__(message)
         self.solution = solution
-        self.residuals = dict(residuals or {})

@@ -13,14 +13,15 @@ started from the float Howard policy and finished in exact dyadic-rational
 arithmetic (floats are dyadic), gives ``m``, a critical cycle and the
 calibrated subaction, so the cycle-mean value agrees bit for bit with
 exhaustive enumeration.  ``beta_sweep`` certifies its spectral bracket
-against that exact mean; the constrained limit takes its dual data and
-support plan from the certified dual solve at the largest beta.  The
-spectral side stays in log domain; ``exp(beta * c)`` is never formed.
+against that exact mean.  The constrained sweep follows the constrained
+pressure ``P_mu(beta * c)``, the value of each certified dual solve, and
+the constrained limit takes its dual data and support plan from the solve
+at the largest beta.  The spectral side stays in log domain;
+``exp(beta * c)`` is never formed.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ from .dual import solve_dual
 __all__ = [
     "MaxPlusSolution",
     "BetaSweepRecord",
+    "ConstrainedSweepRecord",
     "UnconstrainedZeroTemp",
     "ConstrainedZeroTemp",
     "default_beta_grid",
@@ -121,13 +123,24 @@ def maxplus_solve(cost):
 
 @dataclass(frozen=True)
 class BetaSweepRecord:
-    """One row of a scaled-cost sweep."""
+    """One row of an unconstrained sweep: ``log(lambda)/beta`` and its gap to ``m``."""
 
     beta: float
     log_lambda_over_beta: float
-    log_h_over_beta: np.ndarray
     gap_to_limit: float
-    phi_over_beta: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class ConstrainedSweepRecord:
+    """One row of a constrained sweep: ``P_mu(beta*c)/beta`` and ``phi_tilde/beta``.
+
+    Both come from the certified dual solve of ``beta * c``; its ``value``
+    is the constrained pressure ``P_mu(beta*c)``.
+    """
+
+    beta: float
+    pressure_over_beta: float
+    phi_over_beta: np.ndarray
 
 
 def _check_sandwich(beta, log_lam, m, num_x, d):
@@ -146,8 +159,7 @@ def _check_sandwich(beta, log_lam, m, num_x, d):
 def beta_sweep(cost, m, betas=None):
     """Log-domain eigenvalue sweep over increasing inverse temperatures.
 
-    Each record carries ``log(lambda_beta)/beta`` and the gauged
-    ``log(h_beta)/beta``; the bracket
+    Each record carries ``log(lambda_beta)/beta`` and its gap to ``m``; the bracket
     ``beta*m <= log(lambda_beta) <= beta*m + log(#X) + log(d)`` is asserted
     at every beta against ``m``, which must be the exact ``maxplus_solve(cost).m``
     for the bracket to certify the sweep.
@@ -157,14 +169,9 @@ def beta_sweep(cost, m, betas=None):
     records = []
     for beta in betas:
         scaled = CostTensor(cost.values * beta, cost.alphabet_size, cost.depth)
-        log_lam, u, _, _ = log_perron(scaled)
+        log_lam, _, _, _ = log_perron(scaled)
         _check_sandwich(beta, log_lam, m, cost.num_x, cost.alphabet_size)
-        records.append(BetaSweepRecord(
-            beta=beta,
-            log_lambda_over_beta=log_lam / beta,
-            log_h_over_beta=u / beta,
-            gap_to_limit=log_lam / beta - m,
-        ))
+        records.append(BetaSweepRecord(beta, log_lam / beta, log_lam / beta - m))
     return records
 
 
@@ -173,17 +180,13 @@ class UnconstrainedZeroTemp(MaxPlusSolution):
     """The exact ``MaxPlusSolution`` cross-checked against the spectral sweep."""
 
     sweep: list[BetaSweepRecord] = field(repr=False)
-    h_vs_subaction_distance: float = float("nan")
-    monotone_gap: bool = True
 
 
 def zero_temp_unconstrained(cost, betas=None):
     """Combine the exact ``maxplus_solve`` with the scaled spectral sweep.
 
-    The sweep's last entry must satisfy
-    ``|log(lambda)/beta - m| <= log(#X * d)/beta``; the distance between
-    the scaled log-eigenfunction and the subaction is reported but, since
-    only subsequential convergence is guaranteed, never asserted.
+    Every row satisfies ``beta_sweep``'s bracket, and the last one must
+    also satisfy ``|log(lambda)/beta - m| <= log(#X * d)/beta``.
     """
     cost = effective_cost(cost)
     sol = maxplus_solve(cost)
@@ -197,20 +200,7 @@ def zero_temp_unconstrained(cost, betas=None):
             f"exceeds {bound:.3e}",
             residual=gap,
         )
-    scaled_h = last.log_h_over_beta - last.log_h_over_beta.max()
-    aligned_v = sol.subaction - sol.subaction.max()
-    gaps = [rec.gap_to_limit for rec in sweep]
-    monotone = bool(all(g2 <= g1 + 1e-12 for g1, g2 in zip(gaps, gaps[1:])))
-    if not monotone:
-        # only subsequential convergence is guaranteed, so this is a flag
-        warnings.warn("gap to the ergodic limit is not monotone along the grid",
-                      RuntimeWarning, stacklevel=2)
-    return UnconstrainedZeroTemp(
-        **vars(sol),
-        sweep=sweep,
-        h_vs_subaction_distance=float(np.abs(scaled_h - aligned_v).max()),
-        monotone_gap=monotone,
-    )
+    return UnconstrainedZeroTemp(**vars(sol), sweep=sweep)
 
 
 @dataclass(frozen=True)
@@ -233,14 +223,15 @@ class ConstrainedZeroTemp:
     slack_tolerance: float
     marginal_residual: float
     marginal_tolerance: float
-    records: list[BetaSweepRecord] = field(repr=False)
+    records: list[ConstrainedSweepRecord] = field(repr=False)
 
 
 def zero_temp_constrained(cost, mu, betas=None):
     """Constrained zero-temperature limit via warm-started dual solves.
 
     For each beta the dual problem for ``beta * c`` is solved (warm
-    started along the grid); a dual certificate failure names its beta.
+    started along the grid); its row is that solve's ``value / beta`` and
+    ``phi_tilde / beta``, and a dual certificate failure names its beta.
     At the largest beta the scaled dual data must satisfy the subaction
     inequality everywhere, with near-equality on every support entry, a
     cylinder of mass above ``SUPPORT_MASS_THRESHOLD`` in the certified
@@ -263,15 +254,9 @@ def zero_temp_constrained(cost, mu, betas=None):
             solution = solve_dual(scaled, mu, grad_tol=1e-8, v0=v_warm,
                                   allow_resolution_stall=True)
         except CertificateError as exc:
-            raise CertificateError(f"{exc} at beta={beta}", residuals=exc.residuals) from exc
-        log_lam, _, _, _ = log_perron(scaled)
-        records.append(BetaSweepRecord(
-            beta=beta,
-            log_lambda_over_beta=log_lam / beta,
-            log_h_over_beta=solution.psi / beta,
-            gap_to_limit=float("nan"),
-            phi_over_beta=solution.phi_tilde / beta,
-        ))
+            raise CertificateError(f"{exc} at beta={beta}") from exc
+        records.append(ConstrainedSweepRecord(
+            beta, solution.value / beta, solution.phi_tilde / beta))
 
     beta_max = betas[-1]
     m_tilde = solution.phi_tilde / beta_max
@@ -284,9 +269,7 @@ def zero_temp_constrained(cost, mu, betas=None):
         x_w, b_w, a_w = np.unravel_index(int(expr.argmax()), expr.shape)
         raise CertificateError(
             f"subaction feasibility residual {feasibility_residual:.3e} at "
-            f"(x={x_w}, a={a_w}, block={b_w})",
-            residuals={"feasibility_residual": feasibility_residual},
-        )
+            f"(x={x_w}, a={a_w}, block={b_w})")
 
     masses = plan_mass_table(solution.plan, cost.depth)  # the plan at beta_max
     xs, ws = np.nonzero(masses > SUPPORT_MASS_THRESHOLD)
@@ -297,9 +280,7 @@ def zero_temp_constrained(cost, mu, betas=None):
     slack_tolerance = -np.log(SUPPORT_MASS_THRESHOLD) / beta_max + 1e-9
     if slackness > slack_tolerance:
         raise CertificateError(
-            f"support slackness residual {slackness:.3e} exceeds {slack_tolerance:.3e}",
-            residuals={"support_equality_residual": slackness},
-        )
+            f"support slackness residual {slackness:.3e} exceeds {slack_tolerance:.3e}")
     return ConstrainedZeroTemp(
         m_tilde=m_tilde,
         v_tilde=v_tilde,

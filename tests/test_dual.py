@@ -326,7 +326,7 @@ def test_pressure_residual_encloses_the_pressure():
                 at_minimizer, log_lambda=at_minimizer.log_lambda + shift)
             with pytest.raises(CertificateError, match="pressure residual") as info:
                 dual._certify(c, point, mu, 0, 1e-7)
-            residual = info.value.residuals["pressure_residual"]
+            residual = info.value.solution.pressure_residual
             ref, _ = scaled_dense_log_perron(shift_cost(c, -info.value.solution.phi_tilde))
             assert abs(ref) >= 0.9e-8
             assert residual >= abs(ref) - 1e-12
@@ -425,7 +425,7 @@ def test_solver_raises_certificate_error_on_tight_tolerance():
     with pytest.raises(CertificateError) as info:
         solve_dual(c, mu, grad_tol=1e-2, marginal_tol=1e-12)
     assert info.value.solution is not None
-    assert info.value.residuals["marginal_residual"] > 1e-12
+    assert info.value.solution.marginal_residual > 1e-12
 
 
 # --- curve conditions -------------------------------------------------------
