@@ -23,11 +23,11 @@ from .errors import CertificateError, ConvergenceError, SpecValidationError
 from .plans import FiniteMemoryPlan, entropy, export_plan, gibbs_plan
 from .symbolic import _numbers, load_problem
 from .transfer import (
+    _layout,
     MarkovMeasure,
     effective_cost,
     log_perron,
     normalize_cost,
-    successor_table,
 )
 from .report import SparseRows, render_report
 from .zerotemp import (
@@ -87,7 +87,7 @@ def _plan_from_spec(spec):
         jac = _numbers(doc, "jacobian").reshape(spec.num_x, d, n_blocks).transpose(0, 2, 1)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecValidationError(f"invalid plan section: {exc}") from exc
-    q_ab = q[successor_table(d, n_blocks), np.arange(n_blocks)[:, None]]
+    q_ab = np.take(q.T, _layout(d, n_blocks).chain_at)  # q[succ[b, a], b]
     if np.count_nonzero(q) != np.count_nonzero(q_ab):
         raise SpecValidationError("plan q has nonzero entries off the successor pattern")
     nu = MarkovMeasure(q_ab, p, d)
@@ -303,8 +303,12 @@ def main(argv=None):
     }
     text = render_report(report)
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     elapsed_ms = (time.perf_counter() - started) * 1e3

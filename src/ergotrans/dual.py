@@ -93,7 +93,7 @@ class _Evaluation:
 
     def hessian(self):
         marg, k = self._marg, self._marg.size
-        h = poisson_solve(self._weights, self._succ, self._jac.sum(axis=2).T - marg)  # h[b, y]
+        h = poisson_solve(self._weights, self._jac.sum(axis=2).T - marg)  # h[b, y]
         cross = self._mass.reshape(k, -1) @ h[self._succ].reshape(-1, k)
         cov = cross - marg[:, None] * cross.sum(axis=0)[None, :]
         return np.diag(marg) - np.outer(marg, marg) + cov + cov.T

@@ -178,8 +178,8 @@ def build_problem(raw_spec):
 
     Parameters
     ----------
-    raw_spec : str or dict
-        JSON text (or an already parsed key-value tree) with fields
+    raw_spec : str, bytes or dict
+        JSON text (UTF-8 if bytes; or an already parsed key-value tree) with fields
         ``num_x``, ``alphabet_size``, ``depth``, ``cost`` (flat array in
         canonical index order, x-major, log scale), optional ``mu`` and
         optional ``beta_grid``.
@@ -190,8 +190,10 @@ def build_problem(raw_spec):
     """
     if isinstance(raw_spec, (str, bytes)):
         try:
-            doc = json.loads(raw_spec)
-        except json.JSONDecodeError as exc:
+            doc = json.loads(raw_spec.decode("utf-8") if isinstance(raw_spec, bytes) else raw_spec)
+        except UnicodeDecodeError as exc:
+            raise SpecValidationError(f"spec document is not UTF-8: {exc}") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise SpecValidationError(f"spec document does not parse: {exc}") from exc
     else:
         doc = raw_spec
@@ -244,4 +246,4 @@ def load_problem(path):
     """Read a problem document from disk. Returns (spec, raw_bytes)."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    return build_problem(raw.decode("utf-8")), raw
+    return build_problem(raw), raw

@@ -17,10 +17,11 @@ Everything works in the action layout ``ct[x, b, a] = c(x, a.b)`` with the
 and its dominant eigendata solve ``T(u) = u + log lambda``.  Linear algebra
 runs on the block chain ``P[b, succ(b, a)]`` that ``T`` induces at ``u``:
 a dense solve for small chains, a sparse LU above ``DENSE_SOLVE_MAX``
-blocks, whose index pattern follows from ``succ`` alone and is built once
-per ``(d, n)``.  The stationary vector of the normalized chain and its
-Poisson equation are solves with the same bordered matrix
-(``gibbs_chain``, ``poisson_solve``).  Markov measures use the same
+blocks.  ``succ`` and every index array that places the chain in either
+matrix depend on ``(d, n)`` alone: one read-only layout is built per
+``(d, n)`` and cached (``_layout``).  The stationary vector of the
+normalized chain and its Poisson equation are solves with the same
+bordered matrix (``gibbs_chain``, ``poisson_solve``).  Markov measures use the same
 action layout, ``q[b, a] = P(b -> succ(b, a))``: the normalized chain is
 stored as its ``n x d`` weights.  A word ``a.b`` has index ``a + d*b``,
 the C order of ``(b, a)``, so every cylinder table is a reshape.
@@ -31,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -93,11 +95,58 @@ def action_view(cost):
     return cost.values.reshape(cost.num_x, n_blocks, d)
 
 
+class _Layout(NamedTuple):
+    """Index arrays of one block chain, described at ``_layout``."""
+
+    succ: np.ndarray
+    off: np.ndarray
+    chain_at: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    source: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def _layout(alphabet_size, n_blocks):
+    """The read-only index arrays of the block chain on ``d`` symbols and ``n`` blocks.
+
+    Built once per ``(d, n)`` and shared by every solve on that chain:
+
+    * ``succ[b, a]``, the leading block of the word ``a.b``;
+    * ``off``, the entries with ``succ[b, a] != b``;
+    * ``chain_at[b, a] = n*b + succ[b, a]``, the flat index of the chain
+      entry ``P[b, succ[b, a]]`` in a C-order ``n x n`` array;
+    * ``(indptr, indices, source)``, the CSC pattern of the sparse bordered
+      matrix: slot ``k`` of its data holds entry ``source[k]`` of
+      ``[escape.ravel(), diagonal, -1]``, where the diagonal is minus the
+      row sums of ``escape``.  The triplets are the off-diagonal chain
+      entries off column 0, the diagonal off column 0 and ``-1`` down
+      column 0; no two share a slot, and each column holds its rows in
+      ascending order, as a triplet build would sort them.
+    """
+    n, d = n_blocks, alphabet_size
+    blocks = np.arange(n)
+    succ = (np.arange(d)[None, :] + d * blocks[:, None]) % n
+    off = succ != blocks[:, None]
+    chain_at = n * blocks[:, None] + succ
+    cols = succ.ravel()
+    keep = off.ravel() & (cols != 0)
+    rest = blocks[1:]
+    rows = np.concatenate((np.repeat(blocks, d)[keep], rest, blocks))
+    cols = np.concatenate((cols[keep], rest, np.zeros(n, dtype=cols.dtype)))
+    source = np.concatenate((np.flatnonzero(keep), n * d + rest, np.full(n, n * d + n)))
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    layout = _Layout(succ, off, chain_at, indptr.astype(np.intc),
+                     rows[order].astype(np.intc), source[order])
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
+
+
 def successor_table(alphabet_size, n_blocks):
-    """``succ[b, a]``: leading block of the word ``a.b``."""
-    b = np.arange(n_blocks)[:, None]
-    a = np.arange(alphabet_size)[None, :]
-    return (a + alphabet_size * b) % n_blocks
+    """``succ[b, a]``: leading block of the word ``a.b`` (read-only, shared)."""
+    return _layout(alphabet_size, n_blocks).succ
 
 
 def reduced_cost(ct, v, m):
@@ -106,57 +155,31 @@ def reduced_cost(ct, v, m):
     return ct + v[succ][None, :, :] - v[None, :, None] - np.reshape(m, (-1, 1, 1))
 
 
-@functools.lru_cache(maxsize=32)
-def _bordered_pattern(alphabet_size, n_blocks):
-    """CSC pattern of the bordered matrix on ``successor_table(d, n)``.
-
-    Returns ``(indptr, indices, source)``: slot ``k`` of the CSC data holds
-    entry ``source[k]`` of ``[escape.ravel(), diagonal, -1]``, where the
-    diagonal is minus the row sums of ``escape``.  The triplets are the
-    off-diagonal chain entries off column 0, the diagonal off column 0 and
-    ``-1`` down column 0; no two share a slot, and each column holds its
-    rows in ascending order, as a triplet build would sort them.
-    """
-    n, d = n_blocks, alphabet_size
-    succ = successor_table(d, n)
-    cols = succ.ravel()
-    keep = (succ != np.arange(n)[:, None]).ravel() & (cols != 0)
-    rest = np.arange(1, n)
-    rows = np.concatenate((np.repeat(np.arange(n), d)[keep], rest, np.arange(n)))
-    cols = np.concatenate((cols[keep], rest, np.zeros(n, dtype=cols.dtype)))
-    source = np.concatenate((np.flatnonzero(keep), n * d + rest, np.full(n, n * d + n)))
-    order = np.lexsort((rows, cols))
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    pattern = (indptr.astype(np.intc), rows[order].astype(np.intc), source[order])
-    for arr in pattern:
-        arr.setflags(write=False)
-    return pattern
-
-
-def _bordered_solve(weights, succ, rhs, transpose=False):
+def _bordered_solve(weights, rhs, transpose=False):
     """Solve ``B x = rhs`` (or ``B^T x = rhs``) for the bordered chain matrix.
 
     ``B = P - I`` with column 0 replaced by ``-1``, where the row-stochastic
-    chain is ``P[b, succ[b, a]] = weights[b, a]`` and ``succ`` is
+    chain is ``P[b, succ[b, a]] = weights[b, a]`` on
     ``successor_table(d, n)``.  ``B`` is nonsingular exactly when ``P`` has
     a single recurrent class.  The diagonal of ``P - I`` is taken as minus
     the row's off-diagonal sum, as in the Grassmann-Taksar-Heyman method:
     ``P[b, b] - 1`` would cancel to 0 on a nearly reducible chain and lose
     the small escape probabilities that decide its stationary vector.  Up
     to ``DENSE_SOLVE_MAX`` blocks LAPACK solves the dense matrix; above it
-    a sparse LU is factored from a CSC matrix whose index pattern depends
-    only on ``(d, n)``: it is built once (``_bordered_pattern``), each
-    solve only fills in the values, and no ``n x n`` array exists.  A
-    singular matrix raises ``ConvergenceError`` with the residual of the
-    unsolved system, ``max |rhs|``.
+    a sparse LU is factored from a CSC matrix.  Both place the values
+    through the index arrays of ``_layout(d, n)``, which depend only on
+    ``(d, n)``; the sparse path builds no ``n x n`` array.  A singular
+    matrix raises ``ConvergenceError`` with the residual of the unsolved
+    system, ``max |rhs|``.
     """
     n, d = weights.shape
-    off = succ != np.arange(n)[:, None]
-    escape = np.where(off, weights, 0.0)
+    layout = _layout(d, n)
+    escape = np.where(layout.off, weights, 0.0)
     if n <= DENSE_SOLVE_MAX:
         mat = np.zeros((n, n))
-        mat[np.arange(n)[:, None], succ] = escape
-        mat[np.diag_indices(n)] = -escape.sum(axis=1)
+        flat = mat.reshape(-1)
+        flat[layout.chain_at] = escape
+        flat[::n + 1] = -escape.sum(axis=1)
         mat[:, 0] = -1.0
         try:
             x = np.linalg.solve(mat.T if transpose else mat, rhs)
@@ -166,13 +189,13 @@ def _bordered_solve(weights, succ, rhs, transpose=False):
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
 
-        indptr, indices, source = _bordered_pattern(d, n)
         values = np.empty(n * d + n + 1)
         values[:n * d] = escape.ravel()
         values[n * d:-1] = -escape.sum(axis=1)
         values[-1] = -1.0
         try:
-            lu = splu(csc_matrix((values[source], indices, indptr), shape=(n, n)))
+            lu = splu(csc_matrix((values[layout.source], layout.indices, layout.indptr),
+                                 shape=(n, n)))
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise _singular(exc, rhs) from exc
         x = lu.solve(rhs, trans="T" if transpose else "N")
@@ -223,17 +246,19 @@ def _newton(ct, succ, u, target):
     for step in range(1, MAX_NEWTON + 1):
         lse, weights = _log_chain(ct, succ, u)
         diff = lse - u
-        spread = float(diff.max() - diff.min())
-        log_lam = 0.5 * float(diff.max() + diff.min())
+        hi, lo = diff.max(), diff.min()
+        spread = float(hi - lo)
+        log_lam = 0.5 * float(hi + lo)
         if not np.isfinite(spread):
             break
         if best is None or spread < best[2]:
             best = (log_lam, u, spread, step)
+            reached = spread <= target(log_lam, u)
         if extra:
             break
-        extra = best[2] <= target(best[0], best[1])
+        extra = reached
         try:
-            u = u + _bordered_solve(weights, succ, log_lam - diff)
+            u = u + _bordered_solve(weights, log_lam - diff)
         except ConvergenceError:
             if extra:  # a chain that is reducible in floats can still certify
                 break
@@ -259,8 +284,9 @@ def _power_steps(ct, succ, u, steps, target, switch):
     for it in steps:
         v = _log_transfer_apply(ct, succ, u)
         diff = v - u
-        spread = float(diff.max() - diff.min())
-        log_lam = 0.5 * float(diff.max() + diff.min())
+        hi, lo = diff.max(), diff.min()
+        spread = float(hi - lo)
+        log_lam = 0.5 * float(hi + lo)
         u = v - v.min()
         goal = target(log_lam, v)
         if spread <= goal:
@@ -445,7 +471,6 @@ class MarkovMeasure:
             raise SpecValidationError("stationary vector fails stationarity at 1e-12")
         q.setflags(write=False)
         p.setflags(write=False)
-        succ.setflags(write=False)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "support", support)
@@ -473,7 +498,7 @@ def _stationary(weights, succ, tol=1e-12):
     n = weights.shape[0]
     rhs = np.zeros(n)
     rhs[0] = -1.0
-    p = np.clip(_bordered_solve(weights, succ, rhs, transpose=True), 0.0, None)
+    p = np.clip(_bordered_solve(weights, rhs, transpose=True), 0.0, None)
     p = p / p.sum()
     residual = float(np.abs(_push(weights, succ, p) - p).max())
     if residual > tol:
@@ -539,14 +564,14 @@ def gibbs_chain(normalized):
     return jac, weights, succ, p
 
 
-def poisson_solve(weights, succ, rhs):
+def poisson_solve(weights, rhs):
     """Solve the Poisson equation ``(I - P) h = rhs`` gauged by ``h(0) = 0``.
 
     ``P[b, succ[b, a]] = weights[b, a]``; each column of ``rhs`` must have
     zero mean under the stationary vector.  One bordered solve serves all
     columns.
     """
-    h = _bordered_solve(weights, succ, -rhs)
+    h = _bordered_solve(weights, -rhs)
     h[0] = 0.0
     return h
 

@@ -8,8 +8,10 @@ The sparse bordered chain matrix built from triplets, a direct cost
 evaluation, the exact vertex-enumeration LP for the constrained
 zero-temperature limit, the tropical lift with its exhaustive cycle-mean
 enumeration, Karp's exact cycle mean with the longest-walk Bellman solve
-for the subaction, and cylinder tables built by word-index arithmetic
-(``idx % d``, ``idx // d``) are oracles kept here for the same reason.
+for the subaction, cylinder tables built by word-index arithmetic
+(``idx % d``, ``idx // d``), and the eigensolver's kernels with their index
+arrays rebuilt on every call (``index_bordered_solve``,
+``index_log_perron``) are oracles kept here for the same reason.
 
 The definitional oracles evaluate what no verb computes straight from its
 definition: word encoding, one step of a block distribution
@@ -34,6 +36,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import ergotrans.transfer as transfer
+from ergotrans._tropical import howard_policy_iteration
 from ergotrans.dual import shift_cost
 from ergotrans.errors import ConvergenceError, SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
@@ -652,6 +656,169 @@ def index_smoothed_log_jacobian(plan, eps, n):
     idx = np.arange(d ** (n + 1))
     values[:, idx] = out[:, idx // d, idx % d]
     return values
+
+
+# -- block-chain kernels from fresh index arrays -----------------------------
+# The eigensolver's kernels as they read before the package cached one index
+# layout per (d, n): every call rebuilds ``succ``, the off-diagonal mask and
+# the dense placement, and the sparse matrix comes from triplets.  The package
+# must match them bit for bit.
+
+def index_successor_table(alphabet_size, n_blocks):
+    b = np.arange(n_blocks)[:, None]
+    a = np.arange(alphabet_size)[None, :]
+    return (a + alphabet_size * b) % n_blocks
+
+
+def index_reduced_cost(ct, v, m):
+    succ = index_successor_table(ct.shape[2], ct.shape[1])
+    return ct + v[succ][None, :, :] - v[None, :, None] - np.reshape(m, (-1, 1, 1))
+
+
+def _index_singular(reason, rhs):
+    return ConvergenceError(f"bordered chain solve failed: {reason}",
+                            residual=float(np.abs(rhs).max()))
+
+
+def index_bordered_solve(weights, succ, rhs, transpose=False):
+    """``transfer._bordered_solve`` with its matrix assembled afresh."""
+    n = weights.shape[0]
+    if n <= transfer.DENSE_SOLVE_MAX:
+        escape = np.where(succ != np.arange(n)[:, None], weights, 0.0)
+        mat = np.zeros((n, n))
+        mat[np.arange(n)[:, None], succ] = escape
+        mat[np.diag_indices(n)] = -escape.sum(axis=1)
+        mat[:, 0] = -1.0
+        try:
+            x = np.linalg.solve(mat.T if transpose else mat, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise _index_singular(exc, rhs) from exc
+    else:
+        from scipy.sparse.linalg import splu
+
+        try:
+            lu = splu(bordered_triplet_matrix(weights, succ))
+        except RuntimeError as exc:
+            raise _index_singular(exc, rhs) from exc
+        x = lu.solve(rhs, trans="T" if transpose else "N")
+    if not np.isfinite(x).all():
+        raise _index_singular("non-finite solution", rhs)
+    return x
+
+
+def index_log_transfer_apply(ct, succ, u):
+    t = ct + u[succ][None, :, :]
+    mx = t.max(axis=(0, 2))
+    return mx + np.log(np.exp(t - mx[None, :, None]).sum(axis=(0, 2)))
+
+
+def index_log_chain(ct, succ, u):
+    t = ct + u[succ][None, :, :]
+    mx = t.max(axis=(0, 2))
+    w = np.exp(t - mx[None, :, None]).sum(axis=0)
+    s = w.sum(axis=1)
+    return mx + np.log(s), w / s[:, None]
+
+
+def _index_spread(ct, succ, u):
+    diff = index_log_transfer_apply(ct, succ, u) - u
+    return float(diff.max() - diff.min())
+
+
+def _index_newton(ct, succ, u, target):
+    u = u - u[0]
+    best = None
+    extra = False
+    for step in range(1, transfer.MAX_NEWTON + 1):
+        lse, weights = index_log_chain(ct, succ, u)
+        diff = lse - u
+        spread = float(diff.max() - diff.min())
+        log_lam = 0.5 * float(diff.max() + diff.min())
+        if not np.isfinite(spread):
+            break
+        if best is None or spread < best[2]:
+            best = (log_lam, u, spread, step)
+        if extra:
+            break
+        extra = best[2] <= target(best[0], best[1])
+        try:
+            u = u + index_bordered_solve(weights, succ, log_lam - diff)
+        except ConvergenceError:
+            if extra:
+                break
+            raise
+        u[0] = 0.0
+    if best is None:
+        raise ConvergenceError("Newton eigensolve produced non-finite values",
+                               iterations=transfer.MAX_NEWTON)
+    return best
+
+
+def _index_power_steps(ct, succ, u, steps, target, switch):
+    spreads = []
+    it = steps.start - 1
+    window = transfer.SWITCH_WINDOW
+    for it in steps:
+        v = index_log_transfer_apply(ct, succ, u)
+        diff = v - u
+        spread = float(diff.max() - diff.min())
+        log_lam = 0.5 * float(diff.max() + diff.min())
+        u = v - v.min()
+        goal = target(log_lam, v)
+        if spread <= goal:
+            return (log_lam, u, spread, it), u, it
+        spreads.append(spread)
+        if switch and len(spreads) > window:
+            ratio = (spread / spreads[-1 - window]) ** (1.0 / window)
+            if ratio >= 1.0 or np.log(goal / spread) / np.log(ratio) > transfer.SWITCH_STEPS:
+                break
+    return None, u, it
+
+
+def index_log_perron(cost, tol=DEFAULT_EIGEN_TOL):
+    """``transfer.log_perron``'s 4-tuple on the kernels above (same stages)."""
+    cost = effective_cost(cost)
+    ct = action_view(cost)
+    n_blocks = block_count(cost)
+    succ = index_successor_table(cost.alphabet_size, n_blocks)
+    ct_scale = float(np.abs(ct).max())
+
+    def target(log_lam, u):
+        return max(tol, 4e-15 * max(1.0, ct_scale, float(np.abs(u).max()), abs(log_lam)))
+
+    budget = range(1, transfer.POWER_STEP_BUDGET + 1)
+    done, u, it = _index_power_steps(ct, succ, np.zeros(n_blocks), budget, target, True)
+    if done:
+        return done
+    if _index_spread(ct, succ, u) <= np.log(ct.shape[0] * ct.shape[2]):
+        starts = [u, None]
+    else:
+        bias = howard_policy_iteration(ct.max(axis=0), succ, u)[1]
+        starts = sorted((bias, u), key=lambda start: _index_spread(ct, succ, start))
+    failure, best = None, None
+    for start in starts:
+        if start is None:
+            start = howard_policy_iteration(ct.max(axis=0), succ, u)[1]
+        try:
+            result = _index_newton(ct, succ, start, target)
+        except ConvergenceError as exc:
+            failure = exc
+            continue
+        log_lam, u_best, spread, steps = result
+        scale = max(1.0, ct_scale, float(np.abs(u_best).max()), abs(log_lam))
+        if spread <= max(tol, 3e-14 * scale):
+            return log_lam, u_best - u_best.min(), spread, it + steps
+        failure = ConvergenceError(
+            f"log-domain eigensolve did not certify (residual spread {spread:.3e})",
+            residual=spread, iterations=it + steps,
+        )
+        if best is None or spread < best[2]:
+            best = result
+    resume = u if best is None else best[1] - best[1].min()
+    done, _, _ = _index_power_steps(ct, succ, resume, budget[it:], target, False)
+    if done:
+        return done
+    raise failure
 
 
 # -- definitional oracles ---------------------------------------------------

@@ -423,6 +423,33 @@ def test_malformed_document_exits_2_with_one_line(tmp_path, capsys, label, verb,
     assert captured.out == ""
 
 
+UNREADABLE_DOCS = [
+    ("not_utf8", b"\xff\xfe{}"),
+    ("nested_arrays", b"[" * 100_000 + b"]" * 100_000),
+    ("nested_objects", b'{"a": ' * 100_000 + b"1" + b"}" * 100_000),
+]
+
+
+@pytest.mark.parametrize("label,raw", UNREADABLE_DOCS, ids=[c[0] for c in UNREADABLE_DOCS])
+def test_undecodable_or_overnested_document_exits_2_with_one_line(tmp_path, capsys, label, raw):
+    spec = tmp_path / f"{label}.json"
+    spec.write_bytes(raw)
+    assert main(["pressure", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_validation_line(captured.err)
+    assert captured.out == ""
+
+
+def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "report.json"
+    assert main(["pressure", "--spec", spec_path("two_state.json"), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write report:")
+    assert captured.out == "" and not out.parent.exists()
+
+
 def _two_atom_plan_doc(**changes):
     with open(spec_path("two_atom_plan.json")) as fh:
         doc = json.load(fh)

@@ -5,7 +5,9 @@ A seeded random family up to ``(#X, d, m) = (3, 4, 4)`` at inverse
 temperatures up to 2**14 is checked against the dense oracles in
 ``conftest``; the named cases pin inputs on which Newton needs the Howard
 warm start (nearly reducible scaled costs) and chains whose escape
-probabilities fall below machine epsilon or underflow.
+probabilities fall below machine epsilon or underflow.  The kernels that read
+the cached ``(d, n)`` layout are held bit for bit to the same kernels on
+index arrays built afresh (the ``index_*`` oracles in ``conftest``).
 """
 
 import math
@@ -382,7 +384,7 @@ def test_sparse_solve_reuses_pattern_bit_identically(monkeypatch, d, n):
     reference = bordered_triplet_matrix(weights, succ)
     for transpose in (False, True):
         try:
-            x = transfer._bordered_solve(weights, succ, rhs, transpose=transpose)
+            x = transfer._bordered_solve(weights, rhs, transpose=transpose)
         except ConvergenceError:
             x = None  # the same matrix must then be singular for SuperLU too
         matrix = factored.pop()
@@ -394,17 +396,89 @@ def test_sparse_solve_reuses_pattern_bit_identically(monkeypatch, d, n):
         else:
             expected = splu(reference).solve(rhs, trans="T" if transpose else "N")
             assert np.array_equal(x, expected)
-    assert transfer._bordered_pattern(d, n) is transfer._bordered_pattern(d, n)
+    assert transfer._layout(d, n) is transfer._layout(d, n)
 
 
 @pytest.mark.parametrize("transpose", [False, True])
 def test_singular_sparse_solve_raises_convergence_error(transpose):
     # absorbing blocks 0 (a=0) and n-1 (a=1): two closed classes
     d, n = 2, 256
-    succ = successor_table(d, n)
     weights = np.full((n, d), 0.5)
     weights[0] = (1.0, 0.0)
     weights[n - 1] = (0.0, 1.0)
     with pytest.raises(ConvergenceError) as info:
-        transfer._bordered_solve(weights, succ, np.ones(n), transpose=transpose)
+        transfer._bordered_solve(weights, np.ones(n), transpose=transpose)
     assert info.value.residual == 1.0
+
+
+# -- the cached (d, n) layout against the kernels with fresh index arrays --
+
+LAYOUT_SIZES = [(d, d**k) for d, top in ((2, 8), (3, 5), (4, 4)) for k in range(1, top + 1)]
+
+
+def layout_draw(rng, d, n):
+    """A cost in the action layout, #X 1-4 at scale 1-1e3, and a log eigenvector guess."""
+    num_x = int(rng.integers(1, 5))
+    scale = 10.0 ** rng.uniform(0.0, 3.0)
+    return scale * rng.normal(size=(num_x, n, d)), scale * rng.normal(size=n)
+
+
+def outcome(call):
+    """What a call returned, or the ConvergenceError it raised, as comparable parts."""
+    try:
+        result = call()
+    except ConvergenceError as exc:
+        return ("raised", str(exc), exc.residual, exc.iterations)
+    return result if isinstance(result, tuple) else (result,)
+
+
+def assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def test_layout_kernels_match_fresh_index_arrays_bit_for_bit():
+    from conftest import (
+        index_bordered_solve,
+        index_log_chain,
+        index_log_transfer_apply,
+        index_reduced_cost,
+        index_successor_table,
+    )
+
+    rng = np.random.default_rng(2701)
+    for d, n in LAYOUT_SIZES * 3:
+        ct, u = layout_draw(rng, d, n)
+        succ, fresh = successor_table(d, n), index_successor_table(d, n)
+        assert np.array_equal(succ, fresh)
+        assert np.array_equal(transfer._log_transfer_apply(ct, succ, u),
+                              index_log_transfer_apply(ct, fresh, u))
+        chain = transfer._log_chain(ct, succ, u)
+        assert_bit_identical(chain, index_log_chain(ct, fresh, u))
+        for m in (float(rng.normal()), rng.normal(size=ct.shape[0])):
+            assert np.array_equal(transfer.reduced_cost(ct, u, m), index_reduced_cost(ct, u, m))
+        weights, rhs = chain[1], rng.normal(size=n)
+        for transpose in (False, True):
+            assert_bit_identical(
+                outcome(lambda: transfer._bordered_solve(weights, rhs, transpose=transpose)),
+                outcome(lambda: index_bordered_solve(weights, fresh, rhs, transpose=transpose)))
+
+
+def test_log_perron_matches_fresh_index_arrays_bit_for_bit():
+    from conftest import index_log_perron
+
+    rng = np.random.default_rng(2702)
+    for d, n in LAYOUT_SIZES * 2:
+        ct, _ = layout_draw(rng, d, n)
+        cost = CostTensor(ct.reshape(ct.shape[0], n * d), d, round(math.log(n * d, d)))
+        assert_bit_identical(outcome(lambda: log_perron(cost)),
+                             outcome(lambda: index_log_perron(cost)))
+
+
+def test_cached_layout_is_read_only():
+    succ = successor_table(3, 9)
+    with pytest.raises(ValueError, match="read-only"):
+        succ[0, 0] = 1
+    assert all(not arr.flags.writeable for arr in transfer._layout(3, 9))
+    assert successor_table(3, 9) is succ and succ[0, 0] == 0
