@@ -17,9 +17,9 @@ from .symbolic import (
     load_problem,
 )
 from .transfer import (
+    GibbsChain,
     MarkovMeasure,
-    NormalizedCost,
-    normalize_cost,
+    gibbs_chain,
     nu_cylinder_table,
 )
 from .plans import (

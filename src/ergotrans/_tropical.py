@@ -113,18 +113,18 @@ def _howard(weights, succ, policy, exact):
     return eta, bias, policy, roots
 
 
-def howard_policy_iteration(weights, succ, values=None):
+def howard_policy_iteration(weights, succ, values):
     """Maximum cycle mean and a bias vector, in floats.
 
-    The first policy is greedy for ``weights + values[succ]`` (``values``
-    defaults to zero), so a good guess of the bias saves iterations.
+    The first policy is greedy for ``weights + values[succ]``, so a good
+    guess of the bias saves iterations.
 
     Returns
     -------
     (float, ndarray)
         The largest cycle mean of the final policy and its bias vector.
     """
-    policy = (weights if values is None else weights + values[succ]).argmax(axis=1)
+    policy = (weights + values[succ]).argmax(axis=1)
     eta, bias, _, _ = _howard(weights, succ, policy, exact=False)
     return float(eta.max()), bias
 

@@ -26,8 +26,8 @@ from .transfer import (
     _layout,
     MarkovMeasure,
     effective_cost,
+    gibbs_chain,
     log_perron,
-    normalize_cost,
 )
 from .report import SparseRows, render_report
 from .zerotemp import (
@@ -127,11 +127,11 @@ def _transition_rows(measure):
 def _run_gibbs(spec, args):
     cost = effective_cost(spec.cost)
     depth = _export_depth(args, cost)
-    normalized = normalize_cost(cost, tol=args.tol_eigen)
-    plan = gibbs_plan(normalized)
+    chain = gibbs_chain(cost, tol=args.tol_eigen)
+    plan = gibbs_plan(chain, cost.depth)
     measure = plan.nu
     return {
-        "pressure": normalized.log_lambda,
+        "pressure": chain.log_lambda,
         "stationary": measure.p,
         "transition": _transition_rows(measure),
         "plan": export_plan(plan, depth),
@@ -142,9 +142,10 @@ def _run_entropy(spec, args):
     plan = _plan_from_spec(spec)
     if plan is not None:
         return {"entropy": entropy(plan), "source": "plan"}
-    normalized = normalize_cost(effective_cost(spec.cost), tol=args.tol_eigen)
-    return {"entropy": entropy(gibbs_plan(normalized)), "source": "equilibrium",
-            "pressure": normalized.log_lambda}
+    cost = effective_cost(spec.cost)
+    chain = gibbs_chain(cost, tol=args.tol_eigen)
+    return {"entropy": entropy(gibbs_plan(chain, cost.depth)), "source": "equilibrium",
+            "pressure": chain.log_lambda}
 
 
 def _require_mu(spec, verb):

@@ -5,9 +5,9 @@ the smooth convex functional
 
     F(phi) = -integral(phi, mu) + P(c + phi).
 
-One normalization of ``c + phi`` gives ``F``, its gradient (the
-equilibrium x-marginal minus mu) and its exact Hessian, the asymptotic
-covariance of the x-indicators under the Gibbs plan,
+One Gibbs chain of ``c + phi`` (``transfer.gibbs_chain``) gives ``F``,
+its gradient (the equilibrium x-marginal minus mu) and its exact Hessian,
+the asymptotic covariance of the x-indicators under the Gibbs plan,
 
     H = diag(marg) - marg marg^T + C + C^T,
     C[x, y] = E[(1{x} - marg_x) h_y(succ)],
@@ -29,16 +29,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, ConvergenceError, SpecValidationError
-from .plans import FiniteMemoryPlan, entropy, integrate_cost, marginal_x
+from .plans import FiniteMemoryPlan, entropy, gibbs_plan, integrate_cost, marginal_x
 from .symbolic import CostTensor, Marginal
 from .transfer import (
     _log_transfer_apply,
-    MarkovMeasure,
     action_view,
     effective_cost,
     gibbs_chain,
-    normalize_cost,
     poisson_solve,
+    successor_table,
 )
 
 __all__ = [
@@ -76,25 +75,26 @@ def shift_cost(cost, phi):
 class _Evaluation:
     """``F``, its gradient and its exact Hessian at one x-potential.
 
-    One ``normalize_cost`` of ``c + phi`` and its Gibbs chain give ``F``
-    and the gradient; the Hessian costs one more (Poisson) solve on the
-    same chain, and the certificate's plan is built from the same arrays.
+    One Gibbs chain of ``c + phi`` gives ``F`` and the gradient; the
+    Hessian costs one more (Poisson) solve on the same chain, and the
+    certificate's plan is built from the same arrays.
     """
 
     def __init__(self, cost, phi, mu_w):
         self.phi = phi
-        self.normalized = normalize_cost(shift_cost(cost, phi))
-        self.value = float(-(mu_w * phi).sum() + self.normalized.log_lambda)
-        self._jac, self._weights, self._succ, self._p = gibbs_chain(self.normalized)
-        self._mass = self._jac * self._p[None, :, None]
+        self.chain = gibbs_chain(shift_cost(cost, phi))
+        self.value = float(-(mu_w * phi).sum() + self.chain.log_lambda)
+        self._mass = self.chain.jac * self.chain.p[None, :, None]
         self._marg = self._mass.sum(axis=(1, 2))
         self.grad = self._marg - mu_w
         self.residual = float(np.abs(self.grad).max())
 
     def hessian(self):
         marg, k = self._marg, self._marg.size
-        h = poisson_solve(self._weights, self._jac.sum(axis=2).T - marg)  # h[b, y]
-        cross = self._mass.reshape(k, -1) @ h[self._succ].reshape(-1, k)
+        jac, weights = self.chain.jac, self.chain.weights
+        h = poisson_solve(weights, jac.sum(axis=2).T - marg)  # h[b, y]
+        succ = successor_table(jac.shape[2], jac.shape[1])
+        cross = self._mass.reshape(k, -1) @ h[succ].reshape(-1, k)
         cov = cross - marg[:, None] * cross.sum(axis=0)[None, :]
         return np.diag(marg) - np.outer(marg, marg) + cov + cov.T
 
@@ -129,12 +129,12 @@ def _certify(cost, point, mu, iterations, marginal_tol):
     pressure residual ``max |T(psi) - psi|``, for the operator ``T`` of
     ``c - phi_tilde``, encloses ``|P(c - phi_tilde)|`` (Collatz-Wielandt).
     """
-    phi_tilde = point.normalized.log_lambda - point.phi
-    psi = point.normalized.log_h
+    phi_tilde = point.chain.log_lambda - point.phi
+    psi = point.chain.log_h
     shifted = action_view(shift_cost(cost, -phi_tilde))
-    pressure_residual = float(np.abs(_log_transfer_apply(shifted, point._succ, psi) - psi).max())
-    nu = MarkovMeasure(point._weights, point._p, cost.alphabet_size)
-    plan = FiniteMemoryPlan(point._jac, nu, cost.depth)
+    succ = successor_table(shifted.shape[2], shifted.shape[1])
+    pressure_residual = float(np.abs(_log_transfer_apply(shifted, succ, psi) - psi).max())
+    plan = gibbs_plan(point.chain, cost.depth)
     marginal_residual = float(np.abs(marginal_x(plan) - mu.weights).max())
     duality_gap = abs(point.value - (integrate_cost(plan, cost) + entropy(plan)))
     solution = DualSolution(

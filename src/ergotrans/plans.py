@@ -8,7 +8,9 @@ support) together with the block-Markov y-marginal.  The cylinder law
 
 determines every cylinder mass; shorter cylinders are sums over
 completions.  Entries of ``J`` on unsupported blocks are conventional
-placeholders, never consulted through the measure.
+placeholders, never consulted through the measure.  A Gibbs plan is read
+off one ``transfer.gibbs_chain`` result: ``J = exp(cbar)`` and the
+y-marginal is that chain with its stationary vector.
 
 ``J`` is stored as ``J[x, b, a]``, the action layout of the cost and of
 ``q[b, a]``; the word ``a.w`` has index ``a + d*w``, the C order of
@@ -25,7 +27,7 @@ import numpy as np
 from .errors import SpecValidationError
 from .report import CylinderTable
 from .symbolic import lift_depth
-from .transfer import MarkovMeasure, gibbs_chain, nu_cylinder_table
+from .transfer import MarkovMeasure, nu_cylinder_table
 
 __all__ = [
     "FiniteMemoryPlan",
@@ -94,16 +96,15 @@ class FiniteMemoryPlan:
         return self.nu.alphabet_size
 
 
-def gibbs_plan(normalized):
-    """The plan fixed by the extended dual operator of a normalized cost.
+def gibbs_plan(chain, memory):
+    """The Gibbs plan of one normalization, ``chain = transfer.gibbs_chain(c)``.
 
     Its Jacobian is exactly ``exp(cbar)`` and its y-marginal is the
-    invariant measure of the normalized block chain (both from
-    ``gibbs_chain``); the support is every cylinder.
+    invariant measure of the normalized block chain; the support is every
+    cylinder.  ``memory`` is the depth of the effective cost.
     """
-    jac, weights, _, p = gibbs_chain(normalized)
-    return FiniteMemoryPlan(jac, MarkovMeasure(weights, p, normalized.alphabet_size),
-                            normalized.depth)
+    nu = MarkovMeasure(chain.weights, chain.p, chain.weights.shape[1])
+    return FiniteMemoryPlan(chain.jac, nu, memory)
 
 
 def plan_mass_table(plan, length):
@@ -144,17 +145,15 @@ def marginal_x(plan):
     return (plan.jacobian * plan.nu.p[None, :, None]).sum(axis=(1, 2))
 
 
-def export_plan(plan, depth=None):
+def export_plan(plan, depth):
     """Deterministic plan export: the depth, the masses and the Jacobian.
 
-    ``masses`` is a ``CylinderTable``, the sequence of ``[x, word, mass]``
+    ``masses`` is a ``CylinderTable``, the table of ``[x, word, mass]``
     triples over every word of length ``depth`` in canonical order, x
     outer; ``jacobian`` is the plan's Jacobian in the ``(x, a, block)``
     order of reports, a transposed view of ``J[x, b, a]``.  Both render
     exactly as the nested lists they stand for.
     """
-    if depth is None:
-        depth = plan.memory
     d = plan.alphabet_size
     # the digits of every word index, little-endian as in decode_word
     digits = np.arange(d**depth)[:, None] // d ** np.arange(depth) % d

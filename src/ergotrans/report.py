@@ -35,8 +35,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -67,12 +65,13 @@ class SparseRows:
 
 
 @dataclass(frozen=True, eq=False)
-class CylinderTable(Sequence):
+class CylinderTable:
     """Cylinder masses ``masses[x, w]`` of the words ``digits[w]``.
 
     ``digits`` has one row of symbols per word and ``masses`` one row per
-    x.  As a sequence it is the list of triples ``[x, word, mass]``, x
-    outer and words in row order, and it renders exactly as that list.
+    x.  It stands for the list of triples ``[x, word, mass]``, x outer and
+    words in row order, and renders exactly as that list; ``len()`` is the
+    number of triples.
     """
 
     digits: np.ndarray
@@ -91,13 +90,6 @@ class CylinderTable(Sequence):
 
     def __len__(self):
         return self.masses.size
-
-    def __getitem__(self, index):
-        index = operator.index(index)
-        if not -len(self) <= index < len(self):
-            raise IndexError("cylinder table index out of range")
-        x, w = divmod(index % len(self), self.digits.shape[0])
-        return [x, self.digits[w].tolist(), float(self.masses[x, w])]
 
 
 _CONTAINERS = (dict, list, tuple, np.ndarray, SparseRows, CylinderTable)

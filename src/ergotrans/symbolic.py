@@ -85,10 +85,6 @@ class CostTensor:
     def num_x(self):
         return self.values.shape[0]
 
-    @property
-    def word_count(self):
-        return self.values.shape[1]
-
 
 def lift_depth(cost, m_target):
     """Re-index a cost at a larger depth without changing any evaluation.

@@ -19,11 +19,13 @@ runs on the block chain ``P[b, succ(b, a)]`` that ``T`` induces at ``u``:
 a dense solve for small chains, a sparse LU above ``DENSE_SOLVE_MAX``
 blocks.  ``succ`` and every index array that places the chain in either
 matrix depend on ``(d, n)`` alone: one read-only layout is built per
-``(d, n)`` and cached (``_layout``).  The stationary vector of the
-normalized chain and its Poisson equation are solves with the same
-bordered matrix (``gibbs_chain``, ``poisson_solve``).  Markov measures use the same
-action layout, ``q[b, a] = P(b -> succ(b, a))``: the normalized chain is
-stored as its ``n x d`` weights.  A word ``a.b`` has index ``a + d*b``,
+``(d, n)`` and cached (``_layout``).  One ``gibbs_chain`` call gives a
+cost's right eigendata (``log lambda``, ``log h``), the normalized cost's
+Jacobian and chain, and the chain's stationary vector, its left eigendata;
+that vector and the chain's Poisson equation (``poisson_solve``) are
+solves with the same bordered matrix.  Markov measures use the same action
+layout, ``q[b, a] = P(b -> succ(b, a))``: the normalized chain is stored as
+its ``n x d`` weights.  A word ``a.b`` has index ``a + d*b``,
 the C order of ``(b, a)``, so every cylinder table is a reshape.
 """
 
@@ -38,17 +40,16 @@ import numpy as np
 
 from ._tropical import howard_policy_iteration
 from .errors import ConvergenceError, SpecValidationError
-from .symbolic import CostTensor, lift_depth
+from .symbolic import lift_depth
 
 __all__ = [
-    "NormalizedCost",
     "MarkovMeasure",
     "effective_cost",
     "block_count",
     "action_view",
     "successor_table",
     "reduced_cost",
-    "normalize_cost",
+    "GibbsChain",
     "gibbs_chain",
     "poisson_solve",
     "nu_cylinder_table",
@@ -72,6 +73,11 @@ SWITCH_STEPS = 40
 MAX_NEWTON = 120
 # Power steps per eigensolve, before Newton and after a failed Newton.
 POWER_STEP_BUDGET = 400
+# The block sums of exp(cbar) must be within this much of 1, relative to the
+# magnitude of cbar and log lambda; the stationary vector of the normalized
+# chain must be stationary to this much.
+NORMALIZATION_TOL = 1e-12
+STATIONARY_TOL = 1e-12
 
 
 def effective_cost(cost):
@@ -379,52 +385,6 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
 
 
 @dataclass(frozen=True)
-class NormalizedCost:
-    """Cost whose weights sum to one over all (x, preimage) pairs at every block.
-
-    ``log_lambda`` and ``log_h`` record the eigendata used to normalize
-    (both zero for costs that are normalized by construction).
-    """
-
-    cost: CostTensor
-    log_lambda: float
-    log_h: np.ndarray
-
-    def __post_init__(self):
-        ct = action_view(self.cost)
-        sums = np.exp(ct).sum(axis=(0, 2))
-        scale = max(1.0, float(np.abs(self.cost.values).max()), abs(self.log_lambda))
-        tol = 1e-12 * scale
-        err = float(np.abs(sums - 1.0).max())
-        if err > tol:
-            raise SpecValidationError(
-                f"normalization defect {err:.3e} exceeds tolerance {tol:.3e}"
-            )
-
-    @property
-    def alphabet_size(self):
-        return self.cost.alphabet_size
-
-    @property
-    def depth(self):
-        return self.cost.depth
-
-
-def normalize_cost(cost, tol=DEFAULT_EIGEN_TOL):
-    """Normalize a cost with its dominant eigendata.
-
-    ``cbar(x, a.b) = c(x, a.b) + log h(succ(b, a)) - log h(b) - log lambda``,
-    with the eigenproblem solved in log domain, which keeps the operation
-    safe for strongly scaled costs.
-    """
-    cost = effective_cost(cost)
-    log_lam, u, _, _ = log_perron(cost, tol=tol)
-    cbar = reduced_cost(action_view(cost), u, log_lam)
-    flat = cbar.reshape(cost.num_x, cost.word_count)
-    return NormalizedCost(CostTensor(flat, cost.alphabet_size, cost.depth), log_lam, u)
-
-
-@dataclass(frozen=True)
 class MarkovMeasure:
     """Shift-invariant block-Markov measure on the sequence space.
 
@@ -487,13 +447,13 @@ def _push(weights, succ, p):
     return np.bincount(succ.ravel(), (weights * p[:, None]).ravel(), minlength=p.size)
 
 
-def _stationary(weights, succ, tol=1e-12):
+def _stationary(weights, succ):
     """Stationary vector of the row-stochastic chain ``P[b, succ[b, a]] = weights[b, a]``.
 
     ``B^T p = -e_0`` for the bordered matrix of ``_bordered_solve`` says
     ``(P^T p)_j = p_j`` for ``j != 0`` and ``sum(p) = 1``; the remaining
     equation follows because ``P`` is stochastic, so the solve is exact.
-    A stationarity residual above ``tol`` raises ``ConvergenceError``.
+    A stationarity residual above ``STATIONARY_TOL`` raises ``ConvergenceError``.
     """
     n = weights.shape[0]
     rhs = np.zeros(n)
@@ -501,9 +461,9 @@ def _stationary(weights, succ, tol=1e-12):
     p = np.clip(_bordered_solve(weights, rhs, transpose=True), 0.0, None)
     p = p / p.sum()
     residual = float(np.abs(_push(weights, succ, p) - p).max())
-    if residual > tol:
+    if residual > STATIONARY_TOL:
         raise ConvergenceError(
-            f"stationary vector residual {residual:.3e} exceeds {tol:.0e}",
+            f"stationary vector residual {residual:.3e} exceeds {STATIONARY_TOL:.0e}",
             residual=residual,
         )
     return p
@@ -532,22 +492,47 @@ def _log_gth_stationary(log_w, succ):
     return np.exp(logp - np.logaddexp.reduce(logp))
 
 
-def gibbs_chain(normalized):
-    """The Gibbs data of a normalized cost: ``(jac, weights, succ, p)``.
+class GibbsChain(NamedTuple):
+    """One normalization of a cost and its Gibbs chain, described at ``gibbs_chain``."""
 
-    The Gibbs plan's Jacobian ``jac[x, b, a] = exp(cbar(x, a.b))`` and the
-    row-stochastic chain ``P[b, succ[b, a]] = weights[b, a] = sum_x
-    exp(cbar(x, a.b))``, each renormalized against the eigendata's
-    roundoff, and ``p`` the chain's stationary vector.  A chain that is
-    reducible in floats (escape probabilities that underflow) makes the
-    bordered solve singular; up to ``DENSE_SOLVE_MAX`` blocks the log-domain
-    GTH reduction then gives ``p``, above it the failure stands.
+    log_lambda: float
+    log_h: np.ndarray
+    jac: np.ndarray
+    weights: np.ndarray
+    p: np.ndarray
+
+
+def gibbs_chain(cost, tol=DEFAULT_EIGEN_TOL):
+    """Right and left eigendata of a cost: ``(log_lambda, log_h, jac, weights, p)``.
+
+    One ``log_perron`` gives ``log lambda`` and ``log h``, and with them the
+    normalized cost ``cbar(x, a.b) = c(x, a.b) + log h(succ(b, a)) - log
+    h(b) - log lambda``, exponentiated once.  Its block sums must be 1
+    within ``NORMALIZATION_TOL * max(1, |cbar|, |log lambda|)``, or the
+    eigensolve missed the normalization and ``ConvergenceError`` carries
+    the defect.  The Gibbs plan's Jacobian ``jac[x, b, a] = exp(cbar(x,
+    a.b))`` and the row-stochastic chain ``P[b, succ[b, a]] = weights[b, a]
+    = sum_x exp(cbar(x, a.b))`` are each renormalized against the
+    eigendata's roundoff, and ``p`` is the chain's stationary vector.  A
+    chain that is reducible in floats (escape probabilities that
+    underflow) makes the bordered solve singular; up to ``DENSE_SOLVE_MAX``
+    blocks the log-domain GTH reduction then gives ``p``, above it the
+    failure stands.
     """
-    cost = normalized.cost
+    cost = effective_cost(cost)
     n_blocks = block_count(cost)
-    ct = action_view(cost)
+    log_lam, log_h, _, _ = log_perron(cost, tol=tol)
+    ct = reduced_cost(action_view(cost), log_h, log_lam)
     gibbs = np.exp(ct)
-    jac = gibbs / gibbs.sum(axis=(0, 2))[None, :, None]
+    sums = gibbs.sum(axis=(0, 2))
+    defect = float(np.abs(sums - 1.0).max())
+    bound = NORMALIZATION_TOL * max(1.0, float(np.abs(ct).max()), abs(log_lam))
+    if not defect <= bound:
+        raise ConvergenceError(
+            f"normalization defect {defect:.3e} exceeds tolerance {bound:.3e}",
+            residual=defect,
+        )
+    jac = gibbs / sums[None, :, None]
     weights = gibbs.sum(axis=0)
     weights = weights / weights.sum(axis=1)[:, None]
     succ = successor_table(cost.alphabet_size, n_blocks)
@@ -561,7 +546,7 @@ def gibbs_chain(normalized):
         row_mx = log_w.max(axis=1)[:, None]
         log_w -= row_mx + np.log(np.exp(log_w - row_mx).sum(axis=1))[:, None]
         p = _log_gth_stationary(log_w, succ)
-    return jac, weights, succ, p
+    return GibbsChain(log_lam, log_h, jac, weights, p)
 
 
 def poisson_solve(weights, rhs):

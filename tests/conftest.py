@@ -9,9 +9,13 @@ evaluation, the exact vertex-enumeration LP for the constrained
 zero-temperature limit, the tropical lift with its exhaustive cycle-mean
 enumeration, Karp's exact cycle mean with the longest-walk Bellman solve
 for the subaction, cylinder tables built by word-index arithmetic
-(``idx % d``, ``idx // d``), and the eigensolver's kernels with their index
+(``idx % d``, ``idx // d``), the eigensolver's kernels with their index
 arrays rebuilt on every call (``index_bordered_solve``,
-``index_log_perron``) are oracles kept here for the same reason.
+``index_log_perron``), and ``gibbs_chain`` split into its former two steps,
+an eigensolve and then the chain of the normalized cost
+(``two_step_gibbs_chain``, ``normalized_chain``), are oracles kept here for
+the same reason.  ``legacy_triples`` is the list of ``[x, word, mass]``
+triples that a ``CylinderTable`` renders as.
 
 The definitional oracles evaluate what no verb computes straight from its
 definition: word encoding, one step of a block distribution
@@ -51,14 +55,15 @@ from ergotrans.plans import (
 )
 from ergotrans.transfer import (
     DEFAULT_EIGEN_TOL,
+    GibbsChain,
     MarkovMeasure,
-    NormalizedCost,
     _push,
     action_view,
     block_count,
     effective_cost,
-    normalize_cost,
+    gibbs_chain,
     nu_cylinder_table,
+    reduced_cost,
     successor_table,
 )
 from ergotrans.zerotemp import maxplus_solve
@@ -129,7 +134,7 @@ def dense_tropical(cost):
     """
     cost = effective_cost(cost)
     n_blocks = cost.alphabet_size ** (cost.depth - 1)
-    words = np.arange(cost.word_count)
+    words = np.arange(cost.values.shape[1])
     mat = np.full((n_blocks, n_blocks), -np.inf)
     mat[words % n_blocks, words // cost.alphabet_size] = cost.values.max(axis=0)
     return mat
@@ -409,13 +414,60 @@ def normalize_with_solution(cost, sol):
         raise SpecValidationError(
             f"eigendata residual {sol.residual:.3e} too large to normalize against"
         )
-    log_lam = float(np.log(sol.lam))
-    u = np.log(sol.h)
-    ct = action_view(cost)
-    succ = successor_table(cost.alphabet_size, block_count(cost))
-    cbar = ct + u[succ][None, :, :] - u[None, :, None] - log_lam
-    flat = cbar.reshape(cost.num_x, cost.word_count)
-    return NormalizedCost(CostTensor(flat, cost.alphabet_size, cost.depth), log_lam, u)
+    return normalized_chain(cost, float(np.log(sol.lam)), np.log(sol.h))
+
+
+def normalized_cost(cost, log_lambda, log_h):
+    """``cbar = c + log h(succ) - log h - log lambda`` as a ``CostTensor``."""
+    cost = effective_cost(cost)
+    cbar = reduced_cost(action_view(cost), log_h, log_lambda)
+    return CostTensor(cbar.reshape(cost.num_x, -1), cost.alphabet_size, cost.depth)
+
+
+def normalized_chain(cost, log_lambda=0.0, log_h=None):
+    """The Gibbs chain of ``cost`` normalized against ``(log_lambda, log_h)``, in two steps.
+
+    The eigendata default to zero, for a cost that is normalized by
+    construction.  ``cbar`` is flattened into a ``CostTensor``; its
+    weights must sum to one over all (x, preimage) pairs at every block
+    within ``1e-12 * max(1, |cbar|, |log_lambda|)``, else
+    ``SpecValidationError``.  Then ``exp(cbar)`` is taken afresh for the
+    Jacobian and the chain, and the stationary vector is solved as
+    ``gibbs_chain`` solves it, with the log-GTH fallback.
+    """
+    cost = effective_cost(cost)
+    n_blocks = block_count(cost)
+    if log_h is None:
+        log_h = np.zeros(n_blocks)
+    cbar = normalized_cost(cost, log_lambda, log_h)
+    ct = action_view(cbar)
+    sums = np.exp(ct).sum(axis=(0, 2))
+    tol = 1e-12 * max(1.0, float(np.abs(cbar.values).max()), abs(log_lambda))
+    err = float(np.abs(sums - 1.0).max())
+    if err > tol:
+        raise SpecValidationError(f"normalization defect {err:.3e} exceeds tolerance {tol:.3e}")
+    gibbs = np.exp(ct)
+    jac = gibbs / gibbs.sum(axis=(0, 2))[None, :, None]
+    weights = gibbs.sum(axis=0)
+    weights = weights / weights.sum(axis=1)[:, None]
+    succ = successor_table(cost.alphabet_size, n_blocks)
+    try:
+        p = transfer._stationary(weights, succ)
+    except ConvergenceError:
+        if n_blocks > transfer.DENSE_SOLVE_MAX:
+            raise
+        mx = ct.max(axis=0)
+        log_w = mx + np.log(np.exp(ct - mx[None, :, :]).sum(axis=0))
+        row_mx = log_w.max(axis=1)[:, None]
+        log_w -= row_mx + np.log(np.exp(log_w - row_mx).sum(axis=1))[:, None]
+        p = transfer._log_gth_stationary(log_w, succ)
+    return GibbsChain(log_lambda, log_h, jac, weights, p)
+
+
+def two_step_gibbs_chain(cost, tol=DEFAULT_EIGEN_TOL):
+    """``gibbs_chain(cost, tol)`` as two steps: ``log_perron``, then ``normalized_chain``."""
+    log_lam, u, _, _ = transfer.log_perron(effective_cost(cost), tol=tol)
+    return normalized_chain(cost, log_lam, u)
 
 
 def stationary_vector(q, tol=1e-12, refine_iter=10000):
@@ -579,10 +631,10 @@ def highs_lp_oracle(cost, mu):
     from scipy.optimize import linprog
 
     num_x, n_blocks = cost.num_x, block_count(cost)
-    words = np.arange(cost.word_count)
-    a_eq = np.zeros((n_blocks + num_x, num_x * cost.word_count))
+    words = np.arange(cost.values.shape[1])
+    a_eq = np.zeros((n_blocks + num_x, num_x * cost.values.shape[1]))
     for x in range(num_x):
-        cols = x * cost.word_count + words
+        cols = x * cost.values.shape[1] + words
         np.add.at(a_eq, (words // cost.alphabet_size, cols), 1.0)
         np.add.at(a_eq, (words % n_blocks, cols), -1.0)
         a_eq[n_blocks + x, cols] = 1.0
@@ -590,7 +642,7 @@ def highs_lp_oracle(cost, mu):
     lp = linprog(-cost.values.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if lp.status != 0:
         raise ConvergenceError(f"HiGHS found no optimal plan: {lp.message}")
-    return PrimalLPResult(-float(lp.fun), lp.x.reshape(num_x, cost.word_count))
+    return PrimalLPResult(-float(lp.fun), lp.x.reshape(num_x, cost.values.shape[1]))
 
 
 # -- cylinder tables by word-index arithmetic ------------------------------
@@ -825,6 +877,13 @@ def index_log_perron(cost, tol=DEFAULT_EIGEN_TOL):
 # Quantities the package never computes on a verb's path, each evaluated
 # straight from its definition: the tests hold the package's results to them.
 
+def legacy_triples(digits, masses):
+    """The ``[x, word, mass]`` list that plan exports used to hand over."""
+    words = digits.tolist()
+    return [[x, word, mass] for x, row in enumerate(masses.tolist())
+            for word, mass in zip(words, row)]
+
+
 def encode_word(symbols, alphabet_size):
     """Canonical little-endian index of a word over {0, ..., d-1}."""
     index = 0
@@ -1006,7 +1065,8 @@ def smoothed_log_jacobian(plan, eps, n):
             out[:, v, :] = np.log(ratios)
     # word index of a.v is a + d*v, the C order of (v, a)
     tensor = CostTensor(out.reshape(num_x, -1), d, n + 1)
-    return NormalizedCost(tensor, 0.0, np.zeros(d**n))
+    normalized_chain(tensor)  # checks that the weights sum to one
+    return tensor
 
 
 def marginal_y(plan):
@@ -1036,9 +1096,9 @@ def slackness_certificate(cost, phi, mu):
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
     phi = np.asarray(phi, dtype=float)
-    normalized = normalize_cost(shift_cost(cost, -phi))
-    log_lam = normalized.log_lambda
-    plan = gibbs_plan(normalized)
+    chain = gibbs_chain(shift_cost(cost, -phi))
+    log_lam = chain.log_lambda
+    plan = gibbs_plan(chain, cost.depth)
     marg = marginal_x(plan)
     value = float((mu.weights * phi).sum())
     return {

@@ -7,13 +7,14 @@ per criterion.
 import hashlib
 import math
 import os
+import pathlib
 import time
 
 import numpy as np
 import pytest
 
 from ergotrans.symbolic import CostTensor, Marginal, decode_word
-from ergotrans.transfer import log_perron, normalize_cost
+from ergotrans.transfer import gibbs_chain, log_perron
 from ergotrans.plans import entropy, gibbs_plan, integrate_cost, plan_mass_table
 from ergotrans.dual import _Evaluation, solve_dual
 from ergotrans.zerotemp import (
@@ -34,6 +35,7 @@ from conftest import (
     jacobian_n,
     make_two_state_cost,
     markov_entropy_rate,
+    normalized_cost,
     periodic_orbit_measure,
     perron_solve,
     primal_lp_oracle,
@@ -59,13 +61,13 @@ def test_criterion_1_reference_spectral_data():
     sol = perron_solve(assemble_transfer(cost))
     ok = abs(sol.lam - REF_LAMBDA) <= 1e-12
 
-    normalized = normalize_cost(cost)
-    measure = gibbs_plan(normalized).nu
+    chain = gibbs_chain(cost)
+    measure = gibbs_plan(chain, 2).nu
     q_ref = np.array([[0.4384, 0.3423], [0.5616, 0.6577]])
     ok &= bool(np.abs(dense_q(measure) - q_ref).max() <= 1e-4)
     ok &= bool(np.abs(measure.p - [0.3786, 0.6213]).max() <= 2e-4)
 
-    plan = gibbs_plan(normalized)
+    plan = gibbs_plan(chain, 2)
     masses = plan_mass_table(plan, 1)
     ref = np.array([[0.1893, 0.2425], [0.1893, 0.3787]])
     ok &= bool(np.abs(masses - ref).max() <= 2e-4)
@@ -180,17 +182,19 @@ def test_criterion_6_jacobian_identities():
         num_x = int(rng.integers(1, 4))
         d = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
-        nc = normalize_cost(random_cost(rng, num_x, d, m))
-        plan = gibbs_plan(nc)
+        cost = random_cost(rng, num_x, d, m)
+        chain = gibbs_chain(cost)
+        plan = gibbs_plan(chain, m)
+        cbar = normalized_cost(cost, chain.log_lambda, chain.log_h)
         for n in (m - 1, m):
             jn = jacobian_n(plan, n)
             reps = d ** (n + 1 - m)
-            expected = np.tile(np.exp(nc.cost.values), (1, reps))
+            expected = np.tile(np.exp(cbar.values), (1, reps))
             ok &= bool(np.abs(jn - expected).max() <= 1e-12)
 
     # transfer identity on all cylinder indicators up to length 4
     plans = [
-        gibbs_plan(normalize_cost(make_two_state_cost())),
+        gibbs_plan(gibbs_chain(make_two_state_cost()), 2),
         random_plan(rng, 2, 2, 3),
         two_atom_plan(),
     ]
@@ -297,7 +301,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         ok &= cli_main(argv + ["--out", str(out1)]) == 0
         ok &= cli_main(argv + ["--out", str(out2)]) == 0
         ok &= out1.read_bytes() == out2.read_bytes()
-        digest = hashlib.sha256(open(argv[2], "rb").read()).hexdigest()
+        digest = hashlib.sha256(pathlib.Path(argv[2]).read_bytes()).hexdigest()
         ok &= digest.encode() in out1.read_bytes()
         if not ok:
             break

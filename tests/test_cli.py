@@ -74,14 +74,14 @@ def test_plan_section_reads_back_the_export():
     from ergotrans.cli import _plan_from_spec
     from ergotrans.plans import entropy, export_plan, gibbs_plan
     from ergotrans.symbolic import build_problem
-    from ergotrans.transfer import normalize_cost
+    from ergotrans.transfer import gibbs_chain
 
     rng = np.random.default_rng(96)
     plans = [two_atom_plan(), random_plan(rng, 3, 3, 3), random_plan(rng, 1, 4, 2),
-             gibbs_plan(normalize_cost(random_cost(rng, 2, 2, 4)))]
+             gibbs_plan(gibbs_chain(random_cost(rng, 2, 2, 4)), 4)]
     for plan in plans:
         d, m = plan.alphabet_size, plan.memory
-        section = {"jacobian": export_plan(plan)["jacobian"].ravel().tolist(),
+        section = {"jacobian": export_plan(plan, m)["jacobian"].ravel().tolist(),
                    "q": dense_q(plan.nu).ravel().tolist(), "p": plan.nu.p.tolist()}
         doc = {"num_x": plan.num_x, "alphabet_size": d, "depth": m,
                "cost": [0.0] * (plan.num_x * d**m), "plan": section}
@@ -367,6 +367,18 @@ def test_singular_sparse_chain_exits_3_without_traceback(tmp_path, capsys):
     assert main(["gibbs", "--spec", str(spec)]) == 3
     captured = capsys.readouterr()
     assert "solver failure" in captured.err and "singular" in captured.err.lower()
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["gibbs", "entropy"])
+def test_normalization_defect_exits_3_without_traceback(capsys, verb):
+    # at --tol-eigen 1e-9 the block sums of exp(cbar) miss 1 by 2.5e-11,
+    # above the 1e-12 * scale normalization contract: a solver failure
+    code = main([verb, "--spec", spec_path("two_state.json"), "--tol-eigen", "1e-9"])
+    assert code == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure: normalization defect")
     assert "Traceback" not in captured.err and captured.out == ""
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 from ergotrans.errors import CertificateError, ConvergenceError, SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
-from ergotrans.transfer import effective_cost, log_perron, normalize_cost
+from ergotrans.transfer import effective_cost, gibbs_chain, log_perron
 from ergotrans.plans import entropy, gibbs_plan, integrate_cost, marginal_x, plan_mass_table
 from ergotrans import dual
 from ergotrans.dual import _Evaluation, shift_cost, solve_dual
@@ -177,8 +176,8 @@ def test_solve_dual_zero_cost_uniform():
 
 
 def test_solve_dual_equilibrium_marginal_gives_constant(two_state_cost):
-    normalized = normalize_cost(two_state_cost)
-    plan, value = gibbs_plan(normalized), normalized.log_lambda
+    chain = gibbs_chain(two_state_cost)
+    plan, value = gibbs_plan(chain, 2), chain.log_lambda
     mu = Marginal(marginal_x(plan))
     sol = solve_dual(two_state_cost, mu)
     assert np.abs(sol.phi_tilde - value).max() <= 1e-7
@@ -197,7 +196,7 @@ def test_solve_dual_single_x_is_classical():
 
 
 def test_solve_dual_one_evaluation_per_newton_step(monkeypatch):
-    # every eigensolve of the solve is one normalization; Newton with the
+    # every eigensolve of the solve is one Gibbs chain; Newton with the
     # exact Hessian takes its full step, so the evaluations stay close to
     # the iterations
     rng = np.random.default_rng(55)
@@ -205,9 +204,9 @@ def test_solve_dual_one_evaluation_per_newton_step(monkeypatch):
 
     def counting(*args, **kwargs):
         counted.append(1)
-        return normalize_cost(*args, **kwargs)
+        return gibbs_chain(*args, **kwargs)
 
-    monkeypatch.setattr(dual, "normalize_cost", counting)
+    monkeypatch.setattr(dual, "gibbs_chain", counting)
     for num_x in (1, 2, 3, 4):
         c = random_cost(rng, num_x, 2, 3)
         mu = random_marginal(rng, num_x)
@@ -220,11 +219,11 @@ def test_solve_dual_one_evaluation_per_newton_step(monkeypatch):
 
 def test_solve_dual_one_stationary_solve_per_evaluation(monkeypatch):
     # the certificate's plan is built from the last evaluation's chain, so
-    # every stationary vector of a solve belongs to one normalization
+    # every stationary vector of a solve belongs to one Gibbs chain
     from ergotrans import transfer
 
     rng = np.random.default_rng(56)
-    counted = {"normalize_cost": 0, "_stationary": 0}
+    counted = {"gibbs_chain": 0, "_stationary": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -235,16 +234,16 @@ def test_solve_dual_one_stationary_solve_per_evaluation(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(dual, "normalize_cost")
+    counting(dual, "gibbs_chain")
     counting(transfer, "_stationary")
     for num_x, d, m in ((2, 2, 5), (3, 2, 7), (2, 4, 4)):
         c = random_cost(rng, num_x, d, m)
         mu = random_marginal(rng, num_x)
-        counted.update(normalize_cost=0, _stationary=0)
+        counted.update(gibbs_chain=0, _stationary=0)
         sol = solve_dual(c, mu)
         assert sol.marginal_residual <= 1e-10
-        assert counted["normalize_cost"] > 1
-        assert counted["_stationary"] == counted["normalize_cost"]
+        assert counted["gibbs_chain"] > 1
+        assert counted["_stationary"] == counted["gibbs_chain"]
 
 
 def test_solve_dual_runs_one_eigensolve_per_normalization(monkeypatch):
@@ -253,7 +252,7 @@ def test_solve_dual_runs_one_eigensolve_per_normalization(monkeypatch):
     from ergotrans import transfer
 
     rng = np.random.default_rng(58)
-    counted = {"normalize_cost": 0, "log_perron": 0}
+    counted = {"gibbs_chain": 0, "log_perron": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -264,17 +263,17 @@ def test_solve_dual_runs_one_eigensolve_per_normalization(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counting(dual, "normalize_cost")
+    counting(dual, "gibbs_chain")
     for module in (transfer, dual):  # every binding a solve can call
         if hasattr(module, "log_perron"):
             counting(module, "log_perron")
     for num_x, d, m in ((1, 2, 3), (2, 2, 5), (3, 2, 4), (2, 3, 3)):
         c = random_cost(rng, num_x, d, m)
         mu = random_marginal(rng, num_x)
-        counted.update(normalize_cost=0, log_perron=0)
+        counted.update(gibbs_chain=0, log_perron=0)
         solve_dual(c, mu)
-        assert counted["normalize_cost"] >= 1
-        assert counted["log_perron"] == counted["normalize_cost"]
+        assert counted["gibbs_chain"] >= 1
+        assert counted["log_perron"] == counted["gibbs_chain"]
 
 
 def test_solve_dual_value_matches_grid_oracle():
@@ -320,10 +319,9 @@ def test_pressure_residual_encloses_the_pressure():
         # phi_tilde off by 1e-8 moves the pressure by 1e-8: the residual
         # still encloses it, and the certificate refuses
         point = _Evaluation(c, -sol.phi_tilde, mu.weights)
-        at_minimizer = point.normalized
+        at_minimizer = point.chain
         for shift in (1e-8, -1e-8):
-            point.normalized = dataclasses.replace(
-                at_minimizer, log_lambda=at_minimizer.log_lambda + shift)
+            point.chain = at_minimizer._replace(log_lambda=at_minimizer.log_lambda + shift)
             with pytest.raises(CertificateError, match="pressure residual") as info:
                 dual._certify(c, point, mu, 0, 1e-7)
             residual = info.value.solution.pressure_residual
@@ -369,7 +367,7 @@ def test_constrained_equilibrium_zero_cost_is_product():
 
 
 def test_constrained_equilibrium_matches_unconstrained_at_its_marginal(two_state_cost):
-    plan0 = gibbs_plan(normalize_cost(two_state_cost))
+    plan0 = gibbs_plan(gibbs_chain(two_state_cost), 2)
     mu = Marginal(marginal_x(plan0))
     plan = solve_dual(two_state_cost, mu).plan
     t0 = plan_mass_table(plan0, 2)
@@ -432,7 +430,7 @@ def test_solver_raises_certificate_error_on_tight_tolerance():
 
 
 def test_curve_conditions_at_solver_output(two_state_cost):
-    plan = gibbs_plan(normalize_cost(two_state_cost))
+    plan = gibbs_plan(gibbs_chain(two_state_cost), 2)
     mu = Marginal(marginal_x(plan))
     sol = solve_dual(two_state_cost, mu)
     out = eigencurve_conditions(two_state_cost, sol.phi_tilde, mu)

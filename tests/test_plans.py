@@ -5,7 +5,7 @@ import pytest
 
 from ergotrans.errors import SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal, decode_word
-from ergotrans.transfer import normalize_cost, nu_cylinder_table
+from ergotrans.transfer import gibbs_chain, nu_cylinder_table
 from ergotrans.plans import (
     entropy,
     export_plan,
@@ -25,8 +25,10 @@ from conftest import (
     index_smoothed_log_jacobian,
     integral_log_jacobian,
     jacobian_n,
+    legacy_triples,
     marginal_y,
     markov_entropy_rate,
+    normalized_cost,
     periodic_orbit_measure,
     plan_cylinder,
     product_plan,
@@ -64,7 +66,7 @@ def transfer_identity_sides(plan, x, word):
 
 
 def test_gibbs_plan_two_state_level_one(two_state_cost):
-    plan = gibbs_plan(normalize_cost(two_state_cost))
+    plan = gibbs_plan(gibbs_chain(two_state_cost), 2)
     table = plan_mass_table(plan, 1)
     ref = np.array([[0.1893, 0.2425], [0.1893, 0.3787]])
     assert np.abs(table - ref).max() <= 2e-4
@@ -73,25 +75,27 @@ def test_gibbs_plan_two_state_level_one(two_state_cost):
 
 def test_gibbs_plan_uniform_cost_is_uniform_product():
     c = CostTensor(np.full((2, 4), -math.log(4.0)), 2, 2)
-    plan = gibbs_plan(normalize_cost(c))
+    plan = gibbs_plan(gibbs_chain(c), 2)
     table = plan_mass_table(plan, 1)
     assert np.allclose(table, 0.25, atol=1e-12)
 
 
 def test_gibbs_plan_depth_two_mass(two_state_cost):
-    nc = normalize_cost(two_state_cost)
-    plan = gibbs_plan(nc)
+    chain = gibbs_chain(two_state_cost)
+    plan = gibbs_plan(chain, 2)
+    cbar = normalized_cost(two_state_cost, chain.log_lambda, chain.log_h)
     # J(x=0, a=0 | b=1) * p(1): the off-diagonal normalized entry times p
-    view = np.exp(nc.cost.values).reshape(2, 2, 2)  # [x, b, a]
+    view = np.exp(cbar.values).reshape(2, 2, 2)  # [x, b, a]
     expected = view[0, 1, 0] * plan.nu.p[1]
     assert plan_cylinder(plan, 0, (0, 1)) == pytest.approx(expected, abs=1e-14)
     assert abs(expected - 0.1711 * 0.6213) <= 1e-4
 
 
 def test_gibbs_plan_jacobian_is_exponential_of_cost(two_state_cost):
-    nc = normalize_cost(two_state_cost)
-    plan = gibbs_plan(nc)
-    view = np.exp(nc.cost.values).reshape(2, 2, 2)
+    chain = gibbs_chain(two_state_cost)
+    plan = gibbs_plan(chain, 2)
+    cbar = normalized_cost(two_state_cost, chain.log_lambda, chain.log_h)
+    view = np.exp(cbar.values).reshape(2, 2, 2)
     assert np.abs(plan.jacobian - view).max() <= 1e-12
 
 
@@ -138,7 +142,7 @@ def _table_plans():
     for d, m in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2), (4, 3)):
         for num_x in (1, 2, 3):
             plans.append(random_plan(rng, num_x, d, m))
-        plans.append(gibbs_plan(normalize_cost(random_cost(rng, 2, d, m))))
+        plans.append(gibbs_plan(gibbs_chain(random_cost(rng, 2, d, m)), m))
         word = [int(s) for s in rng.integers(0, d, size=m + 1)]
         try:
             nu = periodic_orbit_measure(word, d, m - 1)
@@ -159,7 +163,7 @@ def test_cylinder_tables_equal_index_arithmetic_bit_for_bit():
             if n >= 0:
                 assert _same_bits(jacobian_n(plan, n), index_jacobian_n(plan, n))
             if n >= 1:
-                assert _same_bits(smoothed_log_jacobian(plan, 1e-9, n).cost.values,
+                assert _same_bits(smoothed_log_jacobian(plan, 1e-9, n).values,
                                   index_smoothed_log_jacobian(plan, 1e-9, n))
 
 
@@ -167,10 +171,11 @@ def test_cylinder_tables_equal_index_arithmetic_bit_for_bit():
 
 
 def test_jacobian_n_gibbs_equals_exp_cost(two_state_cost):
-    nc = normalize_cost(two_state_cost)
-    plan = gibbs_plan(nc)
+    chain = gibbs_chain(two_state_cost)
+    plan = gibbs_plan(chain, 2)
     j1 = jacobian_n(plan, 1)
-    assert np.abs(j1 - np.exp(nc.cost.values)).max() <= 1e-12
+    cbar = normalized_cost(two_state_cost, chain.log_lambda, chain.log_h)
+    assert np.abs(j1 - np.exp(cbar.values)).max() <= 1e-12
 
 
 def test_jacobian_n_stabilizes_at_memory():
@@ -277,8 +282,8 @@ def test_entropy_from_definition_agreement():
 
 
 def test_equilibrium_plan_value_identity(two_state_cost):
-    normalized = normalize_cost(two_state_cost)
-    plan, value = gibbs_plan(normalized), normalized.log_lambda
+    chain = gibbs_chain(two_state_cost)
+    plan, value = gibbs_plan(chain, 2), chain.log_lambda
     assert integrate_cost(plan, two_state_cost) + entropy(plan) == pytest.approx(
         value, abs=1e-10
     )
@@ -286,8 +291,8 @@ def test_equilibrium_plan_value_identity(two_state_cost):
 
 def test_equilibrium_plan_zero_cost_maximal_entropy():
     c = CostTensor(np.zeros((2, 4)), 2, 2)
-    normalized = normalize_cost(c)
-    plan, value = gibbs_plan(normalized), normalized.log_lambda
+    chain = gibbs_chain(c)
+    plan, value = gibbs_plan(chain, 2), chain.log_lambda
     assert value == pytest.approx(math.log(4.0), abs=1e-12)
     assert np.allclose(plan_mass_table(plan, 1), 0.25, atol=1e-12)
     assert entropy(plan) == pytest.approx(math.log(4.0), abs=1e-12)
@@ -297,8 +302,8 @@ def test_equilibrium_plan_x_only_cost():
     # c depends on x alone: x-marginal is the softmax of f, y-marginal uniform
     f = np.array([0.3, -0.5, 1.1])
     c = CostTensor(np.repeat(f[:, None], 4, axis=1), 2, 2)
-    normalized = normalize_cost(c)
-    plan, value = gibbs_plan(normalized), normalized.log_lambda
+    chain = gibbs_chain(c)
+    plan, value = gibbs_plan(chain, 2), chain.log_lambda
     softmax = np.exp(f) / np.exp(f).sum()
     assert np.abs(marginal_x(plan) - softmax).max() <= 1e-12
     assert np.allclose(plan.nu.p, 0.5, atol=1e-12)
@@ -343,7 +348,7 @@ def test_marginal_guard_rejects_point_mass():
 
 
 def test_marginal_x_two_state(two_state_cost):
-    plan = gibbs_plan(normalize_cost(two_state_cost))
+    plan = gibbs_plan(gibbs_chain(two_state_cost), 2)
     marg = marginal_x(plan)
     assert np.abs(marg - [0.4319, 0.5680]).max() <= 2e-4
     assert marg.sum() == pytest.approx(1.0, abs=1e-12)
@@ -362,7 +367,7 @@ def test_marginal_y_round_trip():
 def test_transfer_identity_on_cylinders():
     rng = np.random.default_rng(30)
     plans = [
-        gibbs_plan(normalize_cost(random_cost(rng, 2, 2, 2))),
+        gibbs_plan(gibbs_chain(random_cost(rng, 2, 2, 2)), 2),
         random_plan(rng, 2, 2, 3),
         two_atom_plan(),
     ]
@@ -408,15 +413,14 @@ def test_smoothed_log_jacobian_full_support_exact():
     plan = random_plan(rng, 2, 2, 2)
     n = plan.memory - 1
     for eps in (1e-3, 1e-6):
-        nc = smoothed_log_jacobian(plan, eps, n)
+        smoothed = smoothed_log_jacobian(plan, eps, n)
         jn = jacobian_n(plan, n)
-        assert np.abs(nc.cost.values - np.log(jn)).max() <= 1e-12
+        assert np.abs(smoothed.values - np.log(jn)).max() <= 1e-12
 
 
 def test_smoothed_log_jacobian_two_atom():
     plan = two_atom_plan()
-    nc = smoothed_log_jacobian(plan, 1e-6, 1)
-    b_cost = nc.cost
+    b_cost = smoothed_log_jacobian(plan, 1e-6, 1)
     integral = integrate_cost(plan, b_cost)
     assert abs(-integral - entropy(plan)) <= 1e-5
 
@@ -427,8 +431,8 @@ def test_smoothed_log_jacobian_monotone_in_eps():
     target = integral_log_jacobian(plan, n)
     errs = []
     for eps in (1e-4, 5e-5, 2.5e-5):
-        nc = smoothed_log_jacobian(plan, eps, n)
-        errs.append(abs(integrate_cost(plan, nc.cost) - target))
+        smoothed = smoothed_log_jacobian(plan, eps, n)
+        errs.append(abs(integrate_cost(plan, smoothed) - target))
     assert errs[0] >= errs[1] >= errs[2]
 
 
@@ -445,7 +449,8 @@ def test_export_plan_deterministic_order():
     plan = copy_plan()
     out = export_plan(plan, 2)
     assert out["depth"] == 2
-    assert len(out["masses"]) == 2 * 4
-    assert out["masses"][0][:2] == [0, [0, 0]]
-    total = sum(row[2] for row in out["masses"])
+    triples = legacy_triples(out["masses"].digits, out["masses"].masses)
+    assert len(out["masses"]) == len(triples) == 2 * 4
+    assert triples[0][:2] == [0, [0, 0]]
+    total = sum(row[2] for row in triples)
     assert total == pytest.approx(1.0, abs=1e-12)

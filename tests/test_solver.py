@@ -20,15 +20,15 @@ import numpy as np
 import pytest
 
 import ergotrans.transfer as transfer
-from ergotrans.errors import ConvergenceError
+from ergotrans.errors import ConvergenceError, SpecValidationError
 from ergotrans.plans import gibbs_plan
 from ergotrans._tropical import exact_policy_iteration, howard_policy_iteration
 from ergotrans.symbolic import CostTensor
 from ergotrans.transfer import (
     action_view,
     block_count,
+    gibbs_chain,
     log_perron,
-    normalize_cost,
     successor_table,
 )
 from ergotrans.zerotemp import (
@@ -93,7 +93,7 @@ def test_log_perron_matches_dense_oracles_on_random_family():
 def test_gibbs_chain_is_stationary_on_random_family():
     for cost in random_family():
         for beta in BETAS:
-            measure = gibbs_plan(normalize_cost(scaled(cost, beta))).nu
+            measure = gibbs_plan(gibbs_chain(scaled(cost, beta)), cost.depth).nu
             assert np.abs(dense_q(measure) @ measure.p - measure.p).max() <= 1e-12
             assert measure.p.sum() == pytest.approx(1.0, abs=1e-12)
             assert (measure.p >= 0.0).all()
@@ -115,7 +115,7 @@ def test_sparse_and_dense_solves_agree(monkeypatch):
         monkeypatch.setattr(transfer, "DENSE_SOLVE_MAX", cap)
         solved.clear()
         log_lam, u, _, _ = log_perron(cost)
-        measure = gibbs_plan(normalize_cost(cost)).nu
+        measure = gibbs_plan(gibbs_chain(cost), cost.depth).nu
         assert solved.count(False) >= 2 and solved.count(True) == 1  # Newton ran
         results.append((log_lam, u, measure.p))
     (l1, u1, p1), (l2, u2, p2) = results
@@ -133,7 +133,7 @@ def test_no_dense_eig_lstsq_or_fractions_on_the_solver_path(monkeypatch):
     monkeypatch.setattr("ergotrans._tropical.Fraction", forbidden)
     for cost in random_family(seed=304, per_family=1):
         for beta in BETAS:
-            gibbs_plan(normalize_cost(scaled(cost, beta))).nu
+            gibbs_plan(gibbs_chain(scaled(cost, beta)), cost.depth).nu
 
 
 def test_sparse_solve_builds_no_dense_chain():
@@ -142,11 +142,8 @@ def test_sparse_solve_builds_no_dense_chain():
     n = block_count(cost)
     tracemalloc.start()
     try:
-        normalized = normalize_cost(cost)
-        ct = action_view(normalized.cost)
-        weights = np.exp(ct).sum(axis=0)
-        transfer._stationary(weights / weights.sum(axis=1)[:, None],
-                             successor_table(2, n))
+        chain = gibbs_chain(cost)
+        transfer._stationary(chain.weights, successor_table(2, n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -159,7 +156,7 @@ def test_gibbs_plan_builds_no_dense_chain():
     n = block_count(cost)
     tracemalloc.start()
     try:
-        gibbs_plan(normalize_cost(cost))
+        gibbs_plan(gibbs_chain(cost), cost.depth)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -172,7 +169,7 @@ def test_stationary_vector_keeps_escapes_below_machine_epsilon(monkeypatch, cap)
     # 1, so P[b, b] - 1 would cancel to 0; p is (3, 1) / 4 exactly
     monkeypatch.setattr(transfer, "DENSE_SOLVE_MAX", cap)
     values = np.log([[1.0, 1e-20, 3e-20, 1.0]])
-    measure = gibbs_plan(normalize_cost(CostTensor(values, 2, 2))).nu
+    measure = gibbs_plan(gibbs_chain(CostTensor(values, 2, 2)), 2).nu
     assert np.abs(measure.p - [0.75, 0.25]).max() <= 1e-12
 
 
@@ -211,7 +208,7 @@ def howard_draws():
 
 def test_howard_agrees_with_karp():
     for weights, succ in howard_draws():
-        mean, bias = howard_policy_iteration(weights, succ)
+        mean, bias = howard_policy_iteration(weights, succ, np.zeros(len(weights)))
         exact, _ = karp_cycle_mean(weights, succ)
         assert mean == pytest.approx(float(exact), abs=1e-12 * max(1.0, abs(mean)))
         bellman = (weights + bias[succ]).max(axis=1) - mean - bias
@@ -227,7 +224,7 @@ def test_howard_separates_loops_a_few_ulps_apart():
     weights[0, 0] = 1.6e4
     weights[3, 1] = 1.6e4 + 1.4e-8
     weights[0, 1] = weights[1, 1] = weights[2, 1] = 0.0
-    mean, bias = howard_policy_iteration(weights, succ)
+    mean, bias = howard_policy_iteration(weights, succ, np.zeros(n))
     assert mean == float(karp_cycle_mean(weights, succ)[0])
     bellman = (weights + bias[succ]).max(axis=1) - mean - bias
     assert np.abs(bellman).max() <= 1e-10
@@ -286,7 +283,7 @@ def test_maxplus_solve_on_1024_blocks():
     weights = action_view(cost).max(axis=0)
     succ = successor_table(2, 1024)
     assert float(cycle_mean(weights, succ, cycle)) == sol.m
-    mean = howard_policy_iteration(weights, succ)[0]
+    mean = howard_policy_iteration(weights, succ, np.zeros(1024))[0]
     assert mean == pytest.approx(sol.m, abs=1e-12 * max(1.0, abs(mean)))
 
 
@@ -474,6 +471,46 @@ def test_log_perron_matches_fresh_index_arrays_bit_for_bit():
         cost = CostTensor(ct.reshape(ct.shape[0], n * d), d, round(math.log(n * d, d)))
         assert_bit_identical(outcome(lambda: log_perron(cost)),
                              outcome(lambda: index_log_perron(cost)))
+
+
+def test_gibbs_chain_matches_the_two_step_oracle_bit_for_bit():
+    from conftest import two_step_gibbs_chain
+
+    rng = np.random.default_rng(2801)
+    costs = []
+    for d, n in LAYOUT_SIZES * 2:  # dense and sparse chains
+        ct, _ = layout_draw(rng, d, n)
+        costs.append(CostTensor(ct.reshape(ct.shape[0], n * d), d, round(math.log(n * d, d))))
+    # escapes exp(-1000) underflow: the bordered solve is singular and the
+    # log-GTH reduction gives p
+    reducible = CostTensor(np.array([[0.0, -1000.0, -1000.0, 0.0]]), 2, 2)
+    with pytest.raises(ConvergenceError):
+        transfer._stationary(gibbs_chain(reducible).weights, successor_table(2, 2))
+    for cost in costs + [reducible]:
+        assert_bit_identical(gibbs_chain(cost), two_step_gibbs_chain(cost))
+
+
+def test_normalization_defect_is_a_solver_failure(two_state_cost, monkeypatch):
+    from conftest import two_step_gibbs_chain
+
+    # a loose eigensolve leaves the block sums of exp(cbar) 2.5e-11 off 1,
+    # above the 1e-12 * scale contract; the oracle reports the same defect
+    with pytest.raises(ConvergenceError, match="normalization defect") as info:
+        gibbs_chain(two_state_cost, tol=1e-9)
+    with pytest.raises(SpecValidationError) as oracle:
+        two_step_gibbs_chain(two_state_cost, tol=1e-9)
+    assert str(info.value) == str(oracle.value)
+    assert info.value.residual > 1e-11
+    # eigendata that are not numbers fail the same check
+    solve = transfer.log_perron
+
+    def not_a_number(cost, tol):
+        log_lam, u, residual, iterations = solve(cost, tol=tol)
+        return math.nan, u, residual, iterations
+
+    monkeypatch.setattr(transfer, "log_perron", not_a_number)
+    with pytest.raises(ConvergenceError, match="normalization defect nan"):
+        gibbs_chain(two_state_cost)
 
 
 def test_cached_layout_is_read_only():

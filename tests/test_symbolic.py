@@ -83,7 +83,7 @@ def test_build_problem_two_state_fixture():
 
 def test_build_problem_degenerate_x():
     spec = build_problem({"num_x": 1, "alphabet_size": 2, "depth": 1, "cost": [0.0, 0.0]})
-    assert spec.cost.word_count == 2
+    assert spec.cost.values.shape[1] == 2
 
 
 def test_build_problem_dimension_mismatch():

@@ -6,7 +6,7 @@ import pytest
 from ergotrans.errors import SpecValidationError
 from ergotrans.plans import gibbs_plan
 from ergotrans.symbolic import CostTensor, decode_word
-from ergotrans.transfer import log_perron, normalize_cost, nu_cylinder_table
+from ergotrans.transfer import gibbs_chain, log_perron, nu_cylinder_table
 
 from conftest import (
     REF_H,
@@ -16,6 +16,7 @@ from conftest import (
     encode_word,
     markov_entropy_rate,
     normalize_with_solution,
+    normalized_cost,
     nu_cylinder,
     periodic_orbit_measure,
     perron_solve,
@@ -116,21 +117,23 @@ def test_spectral_consistency_on_transfer_instances():
 
 
 def test_normalize_two_state_matches_reference_split(two_state_cost):
-    nc = normalize_cost(two_state_cost)
-    view = np.exp(nc.cost.values).reshape(2, 2, 2)  # [x, b, a]
+    chain = gibbs_chain(two_state_cost)
+    cbar = normalized_cost(two_state_cost, chain.log_lambda, chain.log_h)
+    view = np.exp(cbar.values).reshape(2, 2, 2)  # [x, b, a]
     a1 = view[0].T  # matrix [a, b]
     a2 = view[1].T
     assert np.abs(a1 - [[0.2192, 0.1711], [0.2808, 0.2192]]).max() <= 1e-4
     assert np.abs(a2 - [[0.2192, 0.1711], [0.2808, 0.4385]]).max() <= 1e-4
-    assert nc.log_lambda == pytest.approx(math.log(REF_LAMBDA), abs=1e-12)
+    assert chain.log_lambda == pytest.approx(math.log(REF_LAMBDA), abs=1e-12)
 
 
 def test_normalize_fixed_point_of_normalized_cost():
     # already-normalized cost: lam = 1, h constant, cbar = c exactly
     c = CostTensor(np.full((2, 4), -math.log(4.0)), 2, 2)
-    nc = normalize_cost(c)
-    assert np.abs(nc.cost.values - c.values).max() <= 1e-13
-    assert abs(nc.log_lambda) <= 1e-13
+    chain = gibbs_chain(c)
+    cbar = normalized_cost(c, chain.log_lambda, chain.log_h)
+    assert np.abs(cbar.values - c.values).max() <= 1e-13
+    assert abs(chain.log_lambda) <= 1e-13
 
 
 def test_normalize_product_structure_is_fixed():
@@ -144,9 +147,10 @@ def test_normalize_product_structure_is_fixed():
     mu = np.array([0.3, 0.7])
     vals = g[None, :] + np.log(mu)[:, None]
     c = CostTensor(vals, d, m)
-    nc = normalize_cost(c)
-    assert np.abs(nc.cost.values - c.values).max() <= 1e-12
-    assert abs(nc.log_lambda) <= 1e-13
+    chain = gibbs_chain(c)
+    cbar = normalized_cost(c, chain.log_lambda, chain.log_h)
+    assert np.abs(cbar.values - c.values).max() <= 1e-12
+    assert abs(chain.log_lambda) <= 1e-13
 
 
 def test_normalize_rejects_bad_eigendata(two_state_cost):
@@ -197,12 +201,13 @@ def test_normalization_closure():
     rng = np.random.default_rng(17)
     for _ in range(10):
         c = random_cost(rng, int(rng.integers(1, 4)), 2, 2)
-        nc = normalize_cost(c)
-        assert abs(log_perron(nc.cost)[0]) <= 1e-10
+        chain = gibbs_chain(c)
+        cbar = normalized_cost(c, chain.log_lambda, chain.log_h)
+        assert abs(log_perron(cbar)[0]) <= 1e-10
 
 
 def test_gibbs_measure_two_state(two_state_cost):
-    measure = gibbs_plan(normalize_cost(two_state_cost)).nu
+    measure = gibbs_plan(gibbs_chain(two_state_cost), 2).nu
     assert abs(measure.p[0] - 0.3786) <= 2e-4
     assert abs(measure.p[1] - 0.6213) <= 2e-4
     q = dense_q(measure)
@@ -213,7 +218,7 @@ def test_gibbs_measure_two_state(two_state_cost):
 
 def test_gibbs_measure_uniform_cost():
     c = CostTensor(np.full((2, 4), -math.log(4.0)), 2, 2)
-    measure = gibbs_plan(normalize_cost(c)).nu
+    measure = gibbs_plan(gibbs_chain(c), 2).nu
     assert np.allclose(measure.p, 0.5, atol=1e-12)
 
 
@@ -221,7 +226,7 @@ def test_gibbs_measure_matches_power_iteration_oracle():
     rng = np.random.default_rng(18)
     for _ in range(10):
         c = random_cost(rng, 2, int(rng.integers(2, 4)), 2)
-        measure = gibbs_plan(normalize_cost(c)).nu
+        measure = gibbs_plan(gibbs_chain(c), 2).nu
         q = dense_q(measure)
         p = np.full(measure.n_blocks, 1.0 / measure.n_blocks)
         for _ in range(20000):
@@ -241,7 +246,7 @@ def test_stationary_vector_on_periodic_chain():
 
 
 def test_nu_cylinder_consistency(two_state_cost):
-    measure = gibbs_plan(normalize_cost(two_state_cost)).nu
+    measure = gibbs_plan(gibbs_chain(two_state_cost), 2).nu
     table = nu_cylinder_table(measure, 3)
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
     for idx in range(8):
@@ -270,7 +275,7 @@ def test_markov_entropy_rate_matches_dense_sum_exactly():
 
     rng = np.random.default_rng(31)
     measures = [random_markov_measure(rng, d, k) for d, k in ((2, 1), (2, 6), (3, 3), (4, 2))]
-    measures += [gibbs_plan(normalize_cost(random_cost(rng, 2, 2, 8))).nu]
+    measures += [gibbs_plan(gibbs_chain(random_cost(rng, 2, 2, 8)), 8).nu]
     measures += [periodic_orbit_measure(w, 3, 2) for w in ([0, 1], [1, 2, 0, 2])]
     for measure in measures:
         assert markov_entropy_rate(measure) == dense(measure)
