@@ -16,12 +16,7 @@ from .symbolic import (
     lift_depth,
     load_problem,
 )
-from .transfer import (
-    GibbsChain,
-    MarkovMeasure,
-    gibbs_chain,
-    nu_cylinder_table,
-)
+from .transfer import GibbsChain, gibbs_chain
 from .plans import (
     FiniteMemoryPlan,
     entropy,
@@ -29,6 +24,7 @@ from .plans import (
     gibbs_plan,
     integrate_cost,
     marginal_x,
+    nu_cylinder_table,
     plan_mass_table,
 )
 from .dual import DualSolution, shift_cost, solve_dual

@@ -22,13 +22,7 @@ from . import dual
 from .errors import CertificateError, ConvergenceError, SpecValidationError
 from .plans import FiniteMemoryPlan, entropy, export_plan, gibbs_plan
 from .symbolic import _numbers, load_problem
-from .transfer import (
-    _layout,
-    MarkovMeasure,
-    effective_cost,
-    gibbs_chain,
-    log_perron,
-)
+from .transfer import _layout, effective_cost, gibbs_chain, log_perron
 from .report import SparseRows, render_report
 from .zerotemp import (
     default_beta_grid,
@@ -90,8 +84,7 @@ def _plan_from_spec(spec):
     q_ab = np.take(q.T, _layout(d, n_blocks).chain_at)  # q[succ[b, a], b]
     if np.count_nonzero(q) != np.count_nonzero(q_ab):
         raise SpecValidationError("plan q has nonzero entries off the successor pattern")
-    nu = MarkovMeasure(q_ab, p, d)
-    return FiniteMemoryPlan(jac, nu, memory)
+    return FiniteMemoryPlan(jac, q_ab, p, memory)
 
 
 def _grid(spec, args):
@@ -112,16 +105,16 @@ def _run_pressure(spec, args):
     }
 
 
-def _transition_rows(measure):
-    """The dense ``(successor, block)`` chain as sparse rows of the action layout.
+def _transition_rows(plan):
+    """The plan's y-chain ``q`` as sparse rows of the dense ``(successor, block)`` matrix.
 
     Row ``b'`` is reached from the blocks ``b'//d + k*n/d`` by prepending
     the symbol ``b' % d``.
     """
-    d, n = measure.alphabet_size, measure.n_blocks
+    d, n = plan.alphabet_size, plan.n_blocks
     succ_rows = np.arange(n)[:, None]
     cols = succ_rows // d + np.arange(d)[None, :] * (n // d)
-    return SparseRows(n, cols, measure.q[cols, succ_rows % d])
+    return SparseRows(n, cols, plan.q[cols, succ_rows % d])
 
 
 def _run_gibbs(spec, args):
@@ -129,11 +122,10 @@ def _run_gibbs(spec, args):
     depth = _export_depth(args, cost)
     chain = gibbs_chain(cost, tol=args.tol_eigen)
     plan = gibbs_plan(chain, cost.depth)
-    measure = plan.nu
     return {
         "pressure": chain.log_lambda,
-        "stationary": measure.p,
-        "transition": _transition_rows(measure),
+        "stationary": plan.p,
+        "transition": _transition_rows(plan),
         "plan": export_plan(plan, depth),
     }
 

@@ -1,21 +1,24 @@
 """Finite-memory plans: Gibbs plans, cylinder masses, entropy, export.
 
-A plan on ``X x Omega`` with shift-invariant y-marginal is stored through
+A plan on ``X x Omega`` with shift-invariant y-marginal is one record:
 its local transition law ``J(x, a | b)`` (the Jacobian on the marginal's
-support) together with the block-Markov y-marginal.  The cylinder law
+support) and the y-marginal's block chain ``(q, p)``.  The cylinder law
 
     pi([x, a.w]) = J(x, a | head(w)) * nu([w]),   len(w) >= m - 1,
 
-determines every cylinder mass; shorter cylinders are sums over
-completions.  Entries of ``J`` on unsupported blocks are conventional
-placeholders, never consulted through the measure.  A Gibbs plan is read
-off one ``transfer.gibbs_chain`` result: ``J = exp(cbar)`` and the
-y-marginal is that chain with its stationary vector.
+determines every cylinder mass, with ``nu([a.w]) = q[head(w), a] *
+nu([w])`` and ``nu`` of an ``(m-1)``-block its entry of ``p``; shorter
+cylinders are sums over completions.  Entries of ``J`` and rows of ``q``
+on unsupported blocks are conventional placeholders, never consulted
+through the measure.  A Gibbs plan is read off one ``transfer.gibbs_chain``
+result: ``J = exp(cbar)``, ``q`` its chain and ``p`` that chain's
+stationary vector.
 
-``J`` is stored as ``J[x, b, a]``, the action layout of the cost and of
-``q[b, a]``; the word ``a.w`` has index ``a + d*w``, the C order of
-``(w, a)``, so every cylinder table is a reshape.  Reports and problem
-documents keep the ``(x, a, block)`` order of ``J``.
+``J`` is stored as ``J[x, b, a]`` and ``q`` as ``q[b, a]``, the action
+layout of the cost: ``a`` leads from block ``b`` to ``succ(b, a)``, and the
+word ``a.w`` has index ``a + d*w``, the C order of ``(w, a)``, so every
+cylinder table is a reshape.  Reports and problem documents keep the
+``(x, a, block)`` order of ``J``.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ import numpy as np
 from .errors import SpecValidationError
 from .report import CylinderTable
 from .symbolic import lift_depth
-from .transfer import MarkovMeasure, nu_cylinder_table
+from .transfer import _push, successor_table
 
 __all__ = [
     "FiniteMemoryPlan",
     "gibbs_plan",
+    "nu_cylinder_table",
     "plan_mass_table",
     "entropy",
     "integrate_cost",
@@ -42,30 +46,57 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FiniteMemoryPlan:
-    """Plan encoded by a Jacobian tensor ``jacobian[x, b, a] = J(x, a | b)`` and its y-marginal.
+    """Plan of memory ``m``: ``jacobian[x, b, a] = J(x, a | b)`` and its y-marginal ``(q, p)``.
 
-    The Jacobian is in the action layout of ``nu.q[b, a]``.  Invariants,
-    enforced on the marginal's support:
+    The y-marginal is the shift-invariant block-Markov measure of the
+    ``(m-1)``-block chain: ``q[b, a]`` is the probability of prepending
+    ``a`` to block ``b``, which leads to block ``succ(b, a)``, and ``p`` is
+    its stationary vector.  Deterministic 0/1 rows of ``q`` encode measures
+    supported on periodic orbits.  Invariants, enforced at 1e-12 on the
+    support ``p > 0``:
 
-    * ``sum_{x,a} J(x, a | b) = 1`` (local mass law),
+    * ``sum_a q[b, a] = 1`` and ``sum_{succ(b, a) = b'} q[b, a] p[b] = p[b']``,
+      with ``sum(p) = 1``;
+    * ``sum_{x,a} J(x, a | b) = 1`` (local mass law);
     * ``sum_x J(x, a | b) = q[b, a]`` (the y-marginal is exactly the block
       chain induced by the plan).
     """
 
     jacobian: np.ndarray
-    nu: MarkovMeasure
+    q: np.ndarray
+    p: np.ndarray
     memory: int
 
     def __post_init__(self):
         jac = np.asarray(self.jacobian, dtype=float)
-        d = self.nu.alphabet_size
-        n_blocks = self.nu.n_blocks
+        q = np.asarray(self.q, dtype=float)
+        p = np.asarray(self.p, dtype=float)
         if self.memory < 2:
             raise SpecValidationError("plan memory must be >= 2 (lift depth-1 problems)")
-        if d ** (self.memory - 1) != n_blocks:
+        block_len = self.memory - 1
+        if q.ndim != 2 or q.shape[0] != q.shape[1] ** block_len or p.shape != q.shape[:1]:
             raise SpecValidationError(
-                f"marginal has {n_blocks} blocks, expected {d ** (self.memory - 1)}"
+                f"q has shape {q.shape} and p {p.shape}, expected "
+                f"(d**{block_len}, d) and (d**{block_len},) at memory {self.memory}"
             )
+        n_blocks, d = q.shape
+        if not np.isfinite(q).all() or (q < -1e-15).any():
+            raise SpecValidationError("q entries must be finite and nonnegative")
+        q = np.clip(q, 0.0, None)
+        if not np.isfinite(p).all() or (p < -1e-15).any():
+            raise SpecValidationError("stationary vector entries must be finite and nonnegative")
+        p = np.clip(p, 0.0, None)
+        if abs(p.sum() - 1.0) > 1e-12:
+            raise SpecValidationError(f"stationary vector sums to {p.sum()!r}")
+        p = p / p.sum()
+        support = p > 0.0
+        row_defect = np.abs(q.sum(axis=1)[support] - 1.0)
+        if row_defect.size and row_defect.max() > 1e-12:
+            raise SpecValidationError(
+                f"row sums deviate from 1 by {row_defect.max():.3e} on supported states"
+            )
+        if np.abs(_push(q, successor_table(d, n_blocks), p) - p).max() > 1e-12:
+            raise SpecValidationError("stationary vector fails stationarity at 1e-12")
         if jac.ndim != 3 or jac.shape[1:] != (n_blocks, d):
             raise SpecValidationError(
                 f"jacobian has shape {jac.shape}, expected (num_x, {n_blocks}, {d})"
@@ -73,27 +104,31 @@ class FiniteMemoryPlan:
         if not np.isfinite(jac).all() or (jac < -1e-15).any():
             raise SpecValidationError("jacobian entries must be finite and nonnegative")
         jac = np.clip(jac, 0.0, None)
-        sup = self.nu.support
-        row = jac[:, sup].sum(axis=(0, 2))
+        row = jac[:, support].sum(axis=(0, 2))
         if row.size and np.abs(row - 1.0).max() > 1e-12:
             raise SpecValidationError(
                 f"jacobian mass law violated by {np.abs(row - 1.0).max():.3e}"
             )
-        defect = np.abs(jac.sum(axis=0) - self.nu.q)[sup]
+        defect = np.abs(jac.sum(axis=0) - q)[support]
         if defect.size and defect.max() > 1e-12:
             raise SpecValidationError(
                 f"jacobian x-sum disagrees with y-marginal chain by {defect.max():.3e}"
             )
-        jac.setflags(write=False)
-        object.__setattr__(self, "jacobian", jac)
+        for name, value in (("jacobian", jac), ("q", q), ("p", p)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def num_x(self):
         return self.jacobian.shape[0]
 
     @property
+    def n_blocks(self):
+        return self.p.size
+
+    @property
     def alphabet_size(self):
-        return self.nu.alphabet_size
+        return self.q.shape[1]
 
 
 def gibbs_plan(chain, memory):
@@ -103,8 +138,24 @@ def gibbs_plan(chain, memory):
     invariant measure of the normalized block chain; the support is every
     cylinder.  ``memory`` is the depth of the effective cost.
     """
-    nu = MarkovMeasure(chain.weights, chain.p, chain.weights.shape[1])
-    return FiniteMemoryPlan(chain.jac, nu, memory)
+    return FiniteMemoryPlan(chain.jac, chain.weights, chain.p, memory)
+
+
+def nu_cylinder_table(plan, length):
+    """y-marginal masses ``nu([w])`` of all words of a given length, indexed canonically.
+
+    Up to the block length ``m - 1`` they are sums of ``p``; a level up,
+    ``nu([a.w]) = q[head(w), a] * nu([w])`` is a ``(w, a)`` table.
+    """
+    block_len = plan.memory - 1
+    if length == 0:
+        return np.array([1.0])
+    if length <= block_len:
+        return plan.p.reshape(-1, plan.alphabet_size**length).sum(axis=0)
+    table = plan.p
+    for _ in range(block_len, length):
+        table = (plan.q[np.arange(table.size) % plan.n_blocks] * table[:, None]).ravel()
+    return table
 
 
 def plan_mass_table(plan, length):
@@ -118,8 +169,8 @@ def plan_mass_table(plan, length):
         raise SpecValidationError("cylinder length must be >= 1")
     m = plan.memory
     if length >= m:
-        tail = nu_cylinder_table(plan.nu, length - 1)
-        jac = plan.jacobian[:, np.arange(tail.size) % plan.nu.n_blocks]
+        tail = nu_cylinder_table(plan, length - 1)
+        jac = plan.jacobian[:, np.arange(tail.size) % plan.n_blocks]
         return (jac * tail[None, :, None]).reshape(plan.num_x, -1)
     full = plan_mass_table(plan, m)
     return full.reshape(plan.num_x, -1, plan.alphabet_size**length).sum(axis=1)
@@ -129,7 +180,7 @@ def entropy(plan):
     """Entropy ``-integral(log J)`` of a finite-memory plan, with 0 log 0 = 0."""
     jac = plan.jacobian
     terms = np.where(jac > 0.0, jac * np.log(np.where(jac > 0.0, jac, 1.0)), 0.0)
-    return float(-(terms.sum(axis=(0, 2)) * plan.nu.p).sum())
+    return float(-(terms.sum(axis=(0, 2)) * plan.p).sum())
 
 
 def integrate_cost(plan, cost):
@@ -142,7 +193,7 @@ def integrate_cost(plan, cost):
 
 def marginal_x(plan):
     """x-marginal of the plan (sums of level-1 cylinder masses)."""
-    return (plan.jacobian * plan.nu.p[None, :, None]).sum(axis=(1, 2))
+    return (plan.jacobian * plan.p[None, :, None]).sum(axis=(1, 2))
 
 
 def export_plan(plan, depth):

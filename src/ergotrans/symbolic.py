@@ -32,6 +32,10 @@ __all__ = [
     "load_problem",
 ]
 
+# No cost of two or more symbols reaches this depth (2**64 words), so it bounds
+# one-symbol costs, which match every depth and whose reports list words of it.
+MAX_DEPTH = 64
+
 
 def decode_word(index, length, alphabet_size):
     """The word of a canonical index in ``{0, ..., d**length - 1}``."""
@@ -214,6 +218,8 @@ def build_problem(raw_spec):
             f"cost has {flat.size} entries, expected num_x * alphabet_size**depth = "
             f"{num_x} * {d}**{m}"
         )
+    if m > MAX_DEPTH:
+        raise SpecValidationError(f"depth must be at most {MAX_DEPTH}")
     cost = CostTensor(flat.reshape(num_x, n_words), d, m)
 
     mu = None

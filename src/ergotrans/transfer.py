@@ -23,27 +23,24 @@ matrix depend on ``(d, n)`` alone: one read-only layout is built per
 cost's right eigendata (``log lambda``, ``log h``), the normalized cost's
 Jacobian and chain, and the chain's stationary vector, its left eigendata;
 that vector and the chain's Poisson equation (``poisson_solve``) are
-solves with the same bordered matrix.  Markov measures use the same action
-layout, ``q[b, a] = P(b -> succ(b, a))``: the normalized chain is stored as
-its ``n x d`` weights.  A word ``a.b`` has index ``a + d*b``,
-the C order of ``(b, a)``, so every cylinder table is a reshape.
+solves with the same bordered matrix.  Every chain uses the same action
+layout, ``weights[b, a] = P(b -> succ(b, a))``, stored as ``n x d``; the
+plan that ``plans.gibbs_plan`` builds from a ``gibbs_chain`` result keeps
+it as the y-marginal's ``q``.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from ._tropical import howard_policy_iteration
-from .errors import ConvergenceError, SpecValidationError
+from .errors import ConvergenceError
 from .symbolic import lift_depth
 
 __all__ = [
-    "MarkovMeasure",
     "effective_cost",
     "block_count",
     "action_view",
@@ -52,7 +49,6 @@ __all__ = [
     "GibbsChain",
     "gibbs_chain",
     "poisson_solve",
-    "nu_cylinder_table",
 ]
 
 DEFAULT_EIGEN_TOL = 1e-13
@@ -384,64 +380,6 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
     raise failure
 
 
-@dataclass(frozen=True)
-class MarkovMeasure:
-    """Shift-invariant block-Markov measure on the sequence space.
-
-    Stored in the action layout: ``q[b, a]`` is the probability of
-    prepending the symbol ``a`` to block ``b``, which leads to block
-    ``succ[b, a]`` (row-stochastic on supported blocks), and ``p`` is a
-    stationary vector, ``sum_{succ[b, a] = b'} q[b, a] p[b] = p[b']``.
-    Deterministic 0/1 rows encode measures supported on periodic orbits;
-    rows of unsupported blocks are conventional placeholders.
-    ``block_len`` is ``k`` with ``n_blocks = d**k``.
-    """
-
-    q: np.ndarray
-    p: np.ndarray
-    alphabet_size: int
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        d = self.alphabet_size
-        n = p.size
-        block_len = round(math.log(n, d)) if n > 1 and d > 1 else 0
-        if d**block_len != n:
-            raise SpecValidationError(f"{n} blocks is not a power of the alphabet size {d}")
-        if q.shape != (n, d):
-            raise SpecValidationError(f"q has shape {q.shape}, expected ({n}, {d})")
-        if not np.isfinite(q).all() or (q < -1e-15).any():
-            raise SpecValidationError("q entries must be finite and nonnegative")
-        q = np.clip(q, 0.0, None)
-        if not np.isfinite(p).all() or (p < -1e-15).any():
-            raise SpecValidationError("stationary vector entries must be finite and nonnegative")
-        p = np.clip(p, 0.0, None)
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise SpecValidationError(f"stationary vector sums to {p.sum()!r}")
-        p = p / p.sum()
-        support = p > 0.0
-        row_defect = np.abs(q.sum(axis=1)[support] - 1.0)
-        if row_defect.size and row_defect.max() > 1e-12:
-            raise SpecValidationError(
-                f"row sums deviate from 1 by {row_defect.max():.3e} on supported states"
-            )
-        succ = successor_table(d, n)
-        if np.abs(_push(q, succ, p) - p).max() > 1e-12:
-            raise SpecValidationError("stationary vector fails stationarity at 1e-12")
-        q.setflags(write=False)
-        p.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "succ", succ)
-        object.__setattr__(self, "block_len", block_len)
-
-    @property
-    def n_blocks(self):
-        return self.p.size
-
-
 def _push(weights, succ, p):
     """One step of a distribution: ``(P^T p)[b'] = sum_{succ[b, a] = b'} weights[b, a] p[b]``."""
     return np.bincount(succ.ravel(), (weights * p[:, None]).ravel(), minlength=p.size)
@@ -453,15 +391,22 @@ def _stationary(weights, succ):
     ``B^T p = -e_0`` for the bordered matrix of ``_bordered_solve`` says
     ``(P^T p)_j = p_j`` for ``j != 0`` and ``sum(p) = 1``; the remaining
     equation follows because ``P`` is stochastic, so the solve is exact.
-    A stationarity residual above ``STATIONARY_TOL`` raises ``ConvergenceError``.
+    The result passes ``_checked_stationary``.
     """
     n = weights.shape[0]
     rhs = np.zeros(n)
     rhs[0] = -1.0
     p = np.clip(_bordered_solve(weights, rhs, transpose=True), 0.0, None)
-    p = p / p.sum()
+    return _checked_stationary(weights, succ, p / p.sum())
+
+
+def _checked_stationary(weights, succ, p):
+    """``p``, once its stationarity residual is within ``STATIONARY_TOL``.
+
+    A larger (or NaN) residual raises ``ConvergenceError`` carrying it.
+    """
     residual = float(np.abs(_push(weights, succ, p) - p).max())
-    if residual > STATIONARY_TOL:
+    if not residual <= STATIONARY_TOL:
         raise ConvergenceError(
             f"stationary vector residual {residual:.3e} exceeds {STATIONARY_TOL:.0e}",
             residual=residual,
@@ -517,7 +462,9 @@ def gibbs_chain(cost, tol=DEFAULT_EIGEN_TOL):
     chain that is reducible in floats (escape probabilities that
     underflow) makes the bordered solve singular; up to ``DENSE_SOLVE_MAX``
     blocks the log-domain GTH reduction then gives ``p``, above it the
-    failure stands.
+    failure stands.  Either vector must be stationary within
+    ``STATIONARY_TOL``; a fallback vector that is not raises
+    ``ConvergenceError``.
     """
     cost = effective_cost(cost)
     n_blocks = block_count(cost)
@@ -545,7 +492,7 @@ def gibbs_chain(cost, tol=DEFAULT_EIGEN_TOL):
         log_w = mx + np.log(np.exp(ct - mx[None, :, :]).sum(axis=0))
         row_mx = log_w.max(axis=1)[:, None]
         log_w -= row_mx + np.log(np.exp(log_w - row_mx).sum(axis=1))[:, None]
-        p = _log_gth_stationary(log_w, succ)
+        p = _checked_stationary(weights, succ, _log_gth_stationary(log_w, succ))
     return GibbsChain(log_lam, log_h, jac, weights, p)
 
 
@@ -560,19 +507,3 @@ def poisson_solve(weights, rhs):
     h[0] = 0.0
     return h
 
-
-def nu_cylinder_table(measure, length):
-    """Masses of all cylinders of a given length, indexed canonically.
-
-    A level up, ``nu([a.w]) = q[head(w), a] * nu([w])`` is a ``(w, a)`` table.
-    """
-    n_blocks = measure.n_blocks
-    block_len = measure.block_len
-    if length == 0:
-        return np.array([1.0])
-    if length <= block_len:
-        return measure.p.reshape(-1, measure.alphabet_size**length).sum(axis=0)
-    table = measure.p
-    for _ in range(block_len, length):
-        table = (measure.q[np.arange(table.size) % n_blocks] * table[:, None]).ravel()
-    return table

@@ -22,7 +22,9 @@ definition: word encoding, one step of a block distribution
 (``push``), single cylinder masses of measures and plans, the Markov
 entropy rate, uniform Bernoulli and periodic-orbit measures, product
 plans, finite-depth Jacobians with their log-integral and eps-smoothed
-normalized approximation, and the verified y-marginal.  The Shannon
+normalized approximation, and the verified y-marginal.  An invariant
+measure is a plan on a one-point X (``measure_plan``): ``J = q[None]``
+and the memory is its block length plus one.  The Shannon
 entropy of an x-marginal is ``scalar_entropy(mu.weights)``.  Two
 certificates of the constrained problem are kept as oracles for the
 dual solve's own: ``slackness_certificate``, which solves the
@@ -51,18 +53,17 @@ from ergotrans.plans import (
     gibbs_plan,
     integrate_cost,
     marginal_x,
+    nu_cylinder_table,
     plan_mass_table,
 )
 from ergotrans.transfer import (
     DEFAULT_EIGEN_TOL,
     GibbsChain,
-    MarkovMeasure,
     _push,
     action_view,
     block_count,
     effective_cost,
     gibbs_chain,
-    nu_cylinder_table,
     reduced_cost,
     successor_table,
 )
@@ -121,9 +122,9 @@ def dense_chain(q_ab):
     return q
 
 
-def dense_q(measure):
-    """``q[b', b]``: a measure's chain as the dense column-stochastic matrix."""
-    return dense_chain(measure.q)
+def dense_q(plan):
+    """``q[b', b]``: a plan's y-chain as the dense column-stochastic matrix."""
+    return dense_chain(plan.q)
 
 
 def dense_tropical(cost):
@@ -237,12 +238,22 @@ def bellman_subaction(weights, succ, mean, cycle):
     return v - v.max()
 
 
+def measure_plan(q, p, block_len):
+    """The invariant measure of the chain ``(q, p)`` on ``block_len``-blocks, as a plan.
+
+    X is one point, so ``J = q[None]``, the memory is ``block_len + 1`` and
+    the plan's y-marginal is the measure.
+    """
+    q = np.asarray(q, dtype=float)
+    return FiniteMemoryPlan(q[None], q, p, block_len + 1)
+
+
 def random_markov_measure(rng, d, block_len):
     """Random fully supported block chain (admissible transitions only)."""
     n_blocks = d**block_len
     weights = rng.uniform(0.1, 1.0, size=(n_blocks, d))
     weights = weights / weights.sum(axis=1)[:, None]
-    return MarkovMeasure(weights, stationary_vector(dense_chain(weights)), d)
+    return measure_plan(weights, stationary_vector(dense_chain(weights)), block_len)
 
 
 def random_plan(rng, num_x, d, m):
@@ -250,8 +261,7 @@ def random_plan(rng, num_x, d, m):
     raw = rng.uniform(0.1, 1.0, size=(num_x, d, d ** (m - 1))).transpose(0, 2, 1)
     jac = raw / raw.sum(axis=(0, 2))[None, :, None]  # [x, b, a]
     q_ab = jac.sum(axis=0)
-    nu = MarkovMeasure(q_ab, stationary_vector(dense_chain(q_ab)), d)
-    return FiniteMemoryPlan(jac, nu, m)
+    return FiniteMemoryPlan(jac, q_ab, stationary_vector(dense_chain(q_ab)), m)
 
 
 def random_normalized_values(rng, num_x, d, m):
@@ -272,7 +282,7 @@ def copy_plan():
     jac = np.zeros((2, 2, 2))
     for x in range(2):
         jac[x, :, x] = 0.5
-    return FiniteMemoryPlan(jac, nu, 2)
+    return FiniteMemoryPlan(jac, nu.q, nu.p, 2)
 
 
 def two_atom_plan():
@@ -283,7 +293,7 @@ def two_atom_plan():
     jac[1, 0, 1] = 1.0
     # placeholder columns on unsupported blocks would go here; both blocks
     # are supported for this orbit, so nothing to fill
-    return FiniteMemoryPlan(jac, nu, 2)
+    return FiniteMemoryPlan(jac, nu.q, nu.p, 2)
 
 
 def scalar_entropy(weights):
@@ -651,7 +661,7 @@ def highs_lp_oracle(cost, mu):
 
 def index_nu_cylinder_table(measure, length):
     """``nu([w])`` for every word of ``length``, one level at a time."""
-    d, n_blocks, block_len = measure.alphabet_size, measure.n_blocks, measure.block_len
+    d, n_blocks, block_len = measure.alphabet_size, measure.n_blocks, measure.memory - 1
     if length == 0:
         return np.array([1.0])
     if length <= block_len:
@@ -665,9 +675,9 @@ def index_nu_cylinder_table(measure, length):
 
 def index_plan_mass_table(plan, length):
     """``pi([x, w])`` for every word of ``length``; shorter than the memory, by sums."""
-    d, m, n_blocks = plan.alphabet_size, plan.memory, plan.nu.n_blocks
+    d, m, n_blocks = plan.alphabet_size, plan.memory, plan.n_blocks
     if length >= m:
-        tail = index_nu_cylinder_table(plan.nu, length - 1)
+        tail = index_nu_cylinder_table(plan, length - 1)
         idx = np.arange(d**length)
         return plan.jacobian[:, (idx // d) % n_blocks, idx % d] * tail[idx // d][None, :]
     full = index_plan_mass_table(plan, m)
@@ -678,7 +688,7 @@ def index_jacobian_n(plan, n):
     """``pi([x, y0..yn]) / nu([y1..yn])``, NaN over nu-null tails."""
     d = plan.alphabet_size
     masses = index_plan_mass_table(plan, n + 1)
-    tails = index_nu_cylinder_table(plan.nu, n)
+    tails = index_nu_cylinder_table(plan, n)
     denom = tails[np.arange(d ** (n + 1)) // d]
     out = np.full(masses.shape, np.nan)
     ok = denom > 0.0
@@ -690,7 +700,7 @@ def index_smoothed_log_jacobian(plan, eps, n):
     """The values of ``plans.smoothed_log_jacobian``, reassembled word by word."""
     d, num_x = plan.alphabet_size, plan.num_x
     masses = index_plan_mass_table(plan, n + 1).reshape(num_x, d**n, d)  # [x, tail, a]
-    tails = index_nu_cylinder_table(plan.nu, n)
+    tails = index_nu_cylinder_table(plan, n)
     out = np.empty((num_x, d**n, d))
     for v in range(d**n):
         if tails[v] <= 0.0:
@@ -899,14 +909,15 @@ def encode_word(symbols, alphabet_size):
 
 def push(measure, dist):
     """A distribution over blocks one step on: ``sum_{succ[b, a] = b'} q[b, a] dist[b]``."""
-    return _push(measure.q, measure.succ, np.asarray(dist, dtype=float))
+    succ = successor_table(measure.alphabet_size, measure.n_blocks)
+    return _push(measure.q, succ, np.asarray(dist, dtype=float))
 
 
 def nu_cylinder(measure, word):
     """Mass of a single cylinder [w0 ... w_{n-1}]."""
     d = measure.alphabet_size
     n_blocks = measure.n_blocks
-    block_len = measure.block_len
+    block_len = measure.memory - 1
     n = len(word)
     idx = 0
     for k, s in enumerate(word):
@@ -936,7 +947,7 @@ def uniform_bernoulli_measure(alphabet_size, block_len=1):
     n_blocks = d**block_len
     q = np.full((n_blocks, d), 1.0 / d)
     p = np.full(n_blocks, 1.0 / n_blocks)
-    return MarkovMeasure(q, p, d)
+    return measure_plan(q, p, block_len)
 
 
 def periodic_orbit_measure(word, alphabet_size, block_len=1):
@@ -970,7 +981,7 @@ def periodic_orbit_measure(word, alphabet_size, block_len=1):
             )
         q[cur, :] = 0.0
         q[cur, word[i]] = 1.0
-    return MarkovMeasure(q, p, d)
+    return measure_plan(q, p, block_len)
 
 
 def product_plan(mu, nu):
@@ -978,8 +989,7 @@ def product_plan(mu, nu):
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
     jac = mu.weights[:, None, None] * nu.q[None, :, :]
-    memory = nu.block_len + 1
-    return FiniteMemoryPlan(jac, nu, memory)
+    return FiniteMemoryPlan(jac, nu.q, nu.p, nu.memory)
 
 
 def plan_cylinder(plan, x, word):
@@ -993,8 +1003,8 @@ def plan_cylinder(plan, x, word):
         raise SpecValidationError("cylinder word must have length >= 1")
     idx = encode_word(word, d)
     if n >= m:
-        head = (idx // d) % plan.nu.n_blocks
-        return float(plan.jacobian[x, head, idx % d] * nu_cylinder(plan.nu, word[1:]))
+        head = (idx // d) % plan.n_blocks
+        return float(plan.jacobian[x, head, idx % d] * nu_cylinder(plan, word[1:]))
     table = plan_mass_table(plan, n)
     return float(table[x, idx])
 
@@ -1010,7 +1020,7 @@ def jacobian_n(plan, n):
         raise SpecValidationError("jacobian depth must be >= 0")
     num_x = plan.num_x
     masses = plan_mass_table(plan, n + 1).reshape(num_x, -1, plan.alphabet_size)  # [x, tail, a]
-    tails = nu_cylinder_table(plan.nu, n)
+    tails = nu_cylinder_table(plan, n)
     out = np.full(masses.shape, np.nan)
     ok = tails > 0.0
     out[:, ok] = masses[:, ok] / tails[ok][None, :, None]
@@ -1041,7 +1051,7 @@ def smoothed_log_jacobian(plan, eps, n):
     d = plan.alphabet_size
     num_x = plan.num_x
     masses = plan_mass_table(plan, n + 1).reshape(num_x, d**n, d)  # [x, tail, a]
-    tails = nu_cylinder_table(plan.nu, n)
+    tails = nu_cylinder_table(plan, n)
     out = np.empty((num_x, d**n, d))
     uniform = -np.log(num_x * d)
     for v in range(d**n):
@@ -1070,16 +1080,16 @@ def smoothed_log_jacobian(plan, eps, n):
 
 
 def marginal_y(plan):
-    """y-marginal of the plan, verified against cylinder sums."""
+    """The plan, once its y-marginal ``(q, p)`` is verified against cylinder sums."""
     level1 = plan_mass_table(plan, 1).sum(axis=0)
-    direct = nu_cylinder_table(plan.nu, 1)
+    direct = nu_cylinder_table(plan, 1)
     if np.abs(level1 - direct).max() > 1e-12:
         raise SpecValidationError(
             "stored y-marginal disagrees with plan cylinder sums"
         )
-    if np.abs(push(plan.nu, plan.nu.p) - plan.nu.p).max() > 1e-12:
+    if np.abs(push(plan, plan.p) - plan.p).max() > 1e-12:
         raise SpecValidationError("y-marginal stationarity residual above 1e-12")
-    return plan.nu
+    return plan
 
 
 # -- the constrained certificate by a re-solve -------------------------------

@@ -62,7 +62,7 @@ def test_criterion_1_reference_spectral_data():
     ok = abs(sol.lam - REF_LAMBDA) <= 1e-12
 
     chain = gibbs_chain(cost)
-    measure = gibbs_plan(chain, 2).nu
+    measure = gibbs_plan(chain, 2)
     q_ref = np.array([[0.4384, 0.3423], [0.5616, 0.6577]])
     ok &= bool(np.abs(dense_q(measure) - q_ref).max() <= 1e-4)
     ok &= bool(np.abs(measure.p - [0.3786, 0.6213]).max() <= 2e-4)
@@ -212,7 +212,7 @@ def test_criterion_6_jacobian_identities():
     neg_log_j = -integral_log_jacobian(plan, m - 1)
     idx = np.arange(2**m)
     log_j_flat = np.empty((2, 2**m))
-    log_j_flat[:, idx] = np.log(plan.jacobian)[:, (idx // 2) % plan.nu.n_blocks, idx % 2]
+    log_j_flat[:, idx] = np.log(plan.jacobian)[:, (idx // 2) % plan.n_blocks, idx % 2]
     for _ in range(50):
         vals = random_normalized_values(rng, 2, 2, m)
         neg_b = -integrate_cost(plan, CostTensor(vals, 2, m))

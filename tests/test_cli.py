@@ -82,7 +82,7 @@ def test_plan_section_reads_back_the_export():
     for plan in plans:
         d, m = plan.alphabet_size, plan.memory
         section = {"jacobian": export_plan(plan, m)["jacobian"].ravel().tolist(),
-                   "q": dense_q(plan.nu).ravel().tolist(), "p": plan.nu.p.tolist()}
+                   "q": dense_q(plan).ravel().tolist(), "p": plan.p.tolist()}
         doc = {"num_x": plan.num_x, "alphabet_size": d, "depth": m,
                "cost": [0.0] * (plan.num_x * d**m), "plan": section}
         read = _plan_from_spec(build_problem(json.dumps(doc)))
@@ -355,6 +355,32 @@ def test_chain_reducible_in_floats(tmp_path, capsys):
     assert report["results"]["stationary"] == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("verb", ["gibbs", "entropy", "dual"])
+def test_unstationary_fallback_vector_exits_3_without_traceback(tmp_path, monkeypatch, capsys,
+                                                                verb):
+    # the reducible chain takes the log-GTH fallback; a fallback vector off
+    # stationarity by about 1e-10 is a solver failure, not a validation error
+    import numpy as np
+
+    from ergotrans import transfer
+
+    gth = transfer._log_gth_stationary
+
+    def perturbed(log_w, succ):
+        p = gth(log_w, succ) + np.linspace(0.0, 1e-9, log_w.shape[0])
+        return p / p.sum()
+
+    monkeypatch.setattr(transfer, "_log_gth_stationary", perturbed)
+    spec = tmp_path / "reducible.json"
+    spec.write_text(json.dumps({**_changes_cost(2, 3), "mu": [1.0]}))
+    assert main([verb, "--spec", str(spec)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure:"), lines
+    assert "stationary vector residual" in lines[0]
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_singular_sparse_chain_exits_3_without_traceback(tmp_path, capsys):
     # 512 blocks, above the dense cap: no fallback for the stationary solve
     spec = tmp_path / "singular.json"
@@ -488,6 +514,34 @@ def test_plan_arrays_must_be_flat_lists_of_numbers(tmp_path, capsys, label, chan
     assert main(["entropy", "--spec", str(spec)]) == 2
     captured = capsys.readouterr()
     _assert_one_validation_line(captured.err)
+    assert captured.out == ""
+
+
+# the two-atom plan swaps blocks 0 and 1: J[0, b=1, a=0] = J[1, b=0, a=1] = 1
+# (flat entries 1 and 6 of (x, a, b)), q the dense swap, p = (1/2, 1/2)
+BROKEN_PLAN_INVARIANTS = [
+    ("jacobian_negative", {"jacobian": [-0.5] + TWO_ATOM_JACOBIAN[1:]},
+     "jacobian entries must be finite and nonnegative"),
+    ("jacobian_mass_law", {"jacobian": [0.0, 0.5] + TWO_ATOM_JACOBIAN[2:]},
+     "jacobian mass law violated"),
+    ("jacobian_x_sum", {"jacobian": [0.0, 0.0, 0.0, 1.0] + TWO_ATOM_JACOBIAN[4:]},
+     "jacobian x-sum disagrees with y-marginal chain"),
+    ("q_row_sum", {"q": [0.0, 1.0, 0.5, 0.0]}, "row sums deviate from 1"),
+    ("p_sum", {"p": [0.5, 0.6]}, "stationary vector sums to"),
+    ("p_stationarity", {"p": [0.25, 0.75]}, "stationary vector fails stationarity"),
+]
+
+
+@pytest.mark.parametrize("label,changes,check", BROKEN_PLAN_INVARIANTS,
+                         ids=[c[0] for c in BROKEN_PLAN_INVARIANTS])
+def test_plan_section_breaking_one_invariant_exits_2_naming_it(tmp_path, capsys, label,
+                                                                changes, check):
+    spec = tmp_path / f"{label}.json"
+    spec.write_text(json.dumps(_two_atom_plan_doc(**changes)))
+    assert main(["entropy", "--spec", str(spec)]) == 2
+    captured = capsys.readouterr()
+    _assert_one_validation_line(captured.err)
+    assert check in captured.err
     assert captured.out == ""
 
 

@@ -5,13 +5,14 @@ import pytest
 
 from ergotrans.errors import SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal, decode_word
-from ergotrans.transfer import gibbs_chain, nu_cylinder_table
+from ergotrans.transfer import gibbs_chain
 from ergotrans.plans import (
     entropy,
     export_plan,
     gibbs_plan,
     integrate_cost,
     marginal_x,
+    nu_cylinder_table,
     plan_mass_table,
 )
 
@@ -52,10 +53,10 @@ def transfer_identity_sides(plan, x, word):
     k = len(word)
     tail_idx = encode_word(word[1:], d) if k > 1 else 0
     length = max(k - 1, m - 1)
-    table = nu_cylinder_table(plan.nu, length)
+    table = nu_cylinder_table(plan, length)
     step = d ** (k - 1)
     lhs = 0.0
-    n_blocks = plan.nu.n_blocks
+    n_blocks = plan.n_blocks
     for v in range(tail_idx, d**length, step) if k > 1 else range(d**length):
         lhs += plan.jacobian[x, v % n_blocks, word[0]] * table[v]
     rhs = plan_cylinder(plan, x, word)
@@ -86,7 +87,7 @@ def test_gibbs_plan_depth_two_mass(two_state_cost):
     cbar = normalized_cost(two_state_cost, chain.log_lambda, chain.log_h)
     # J(x=0, a=0 | b=1) * p(1): the off-diagonal normalized entry times p
     view = np.exp(cbar.values).reshape(2, 2, 2)  # [x, b, a]
-    expected = view[0, 1, 0] * plan.nu.p[1]
+    expected = view[0, 1, 0] * plan.p[1]
     assert plan_cylinder(plan, 0, (0, 1)) == pytest.approx(expected, abs=1e-14)
     assert abs(expected - 0.1711 * 0.6213) <= 1e-4
 
@@ -156,8 +157,8 @@ def test_cylinder_tables_equal_index_arithmetic_bit_for_bit():
     for plan in _table_plans():
         m = plan.memory
         for length in range(m - 1, m + 4):
-            assert _same_bits(nu_cylinder_table(plan.nu, length),
-                              index_nu_cylinder_table(plan.nu, length))
+            assert _same_bits(nu_cylinder_table(plan, length),
+                              index_nu_cylinder_table(plan, length))
             assert _same_bits(plan_mass_table(plan, length), index_plan_mass_table(plan, length))
             n = length - 1
             if n >= 0:
@@ -267,7 +268,7 @@ def test_entropy_bounds_and_subadditivity():
         h = entropy(plan)
         assert -1e-12 <= h <= math.log(num_x * d) + 1e-12
         mu_x = marginal_x(plan)
-        assert h <= scalar_entropy(mu_x) + markov_entropy_rate(plan.nu) + 1e-10
+        assert h <= scalar_entropy(mu_x) + markov_entropy_rate(plan) + 1e-10
 
 
 def test_entropy_from_definition_agreement():
@@ -306,7 +307,7 @@ def test_equilibrium_plan_x_only_cost():
     plan, value = gibbs_plan(chain, 2), chain.log_lambda
     softmax = np.exp(f) / np.exp(f).sum()
     assert np.abs(marginal_x(plan) - softmax).max() <= 1e-12
-    assert np.allclose(plan.nu.p, 0.5, atol=1e-12)
+    assert np.allclose(plan.p, 0.5, atol=1e-12)
     # brute-force over a marginal grid: value = max mu.f + h(mu) + log d
     best = -np.inf
     grid = np.linspace(0.001, 0.998, 60)
@@ -400,7 +401,7 @@ def test_gibbs_optimality_inequality():
     jac_vals = np.log(plan.jacobian)
     idx = np.arange(2**m)
     flat = np.empty((2, 2**m))
-    flat[:, idx] = jac_vals[:, (idx // 2) % plan.nu.n_blocks, idx % 2]
+    flat[:, idx] = jac_vals[:, (idx // 2) % plan.n_blocks, idx % 2]
     b_star = CostTensor(flat, 2, m)
     assert -integrate_cost(plan, b_star) == pytest.approx(neg_log_j, abs=1e-10)
 

@@ -177,7 +177,7 @@ def test_action_layout_transition_renders_as_dense_matrix():
     rng = np.random.default_rng(88)
     sizes = [(2, m) for m in range(2, 13)] + [(3, 2), (3, 3), (3, 5), (4, 2), (4, 3), (4, 4)]
     for d, m in sizes:
-        measures = [gibbs_plan(gibbs_chain(random_cost(rng, 2, d, m)), m).nu]
+        measures = [gibbs_plan(gibbs_chain(random_cost(rng, 2, d, m)), m)]
         if m <= 4:  # deterministic rows: zeros on the successor pattern
             measures.append(periodic_orbit_measure([0, d - 1], d, m - 1))
         for measure in measures:

@@ -93,7 +93,7 @@ def test_log_perron_matches_dense_oracles_on_random_family():
 def test_gibbs_chain_is_stationary_on_random_family():
     for cost in random_family():
         for beta in BETAS:
-            measure = gibbs_plan(gibbs_chain(scaled(cost, beta)), cost.depth).nu
+            measure = gibbs_plan(gibbs_chain(scaled(cost, beta)), cost.depth)
             assert np.abs(dense_q(measure) @ measure.p - measure.p).max() <= 1e-12
             assert measure.p.sum() == pytest.approx(1.0, abs=1e-12)
             assert (measure.p >= 0.0).all()
@@ -115,7 +115,7 @@ def test_sparse_and_dense_solves_agree(monkeypatch):
         monkeypatch.setattr(transfer, "DENSE_SOLVE_MAX", cap)
         solved.clear()
         log_lam, u, _, _ = log_perron(cost)
-        measure = gibbs_plan(gibbs_chain(cost), cost.depth).nu
+        measure = gibbs_plan(gibbs_chain(cost), cost.depth)
         assert solved.count(False) >= 2 and solved.count(True) == 1  # Newton ran
         results.append((log_lam, u, measure.p))
     (l1, u1, p1), (l2, u2, p2) = results
@@ -133,7 +133,7 @@ def test_no_dense_eig_lstsq_or_fractions_on_the_solver_path(monkeypatch):
     monkeypatch.setattr("ergotrans._tropical.Fraction", forbidden)
     for cost in random_family(seed=304, per_family=1):
         for beta in BETAS:
-            gibbs_plan(gibbs_chain(scaled(cost, beta)), cost.depth).nu
+            gibbs_plan(gibbs_chain(scaled(cost, beta)), cost.depth)
 
 
 def test_sparse_solve_builds_no_dense_chain():
@@ -169,7 +169,7 @@ def test_stationary_vector_keeps_escapes_below_machine_epsilon(monkeypatch, cap)
     # 1, so P[b, b] - 1 would cancel to 0; p is (3, 1) / 4 exactly
     monkeypatch.setattr(transfer, "DENSE_SOLVE_MAX", cap)
     values = np.log([[1.0, 1e-20, 3e-20, 1.0]])
-    measure = gibbs_plan(gibbs_chain(CostTensor(values, 2, 2)), 2).nu
+    measure = gibbs_plan(gibbs_chain(CostTensor(values, 2, 2)), 2)
     assert np.abs(measure.p - [0.75, 0.25]).max() <= 1e-12
 
 

@@ -110,6 +110,11 @@ def test_build_problem_checks_the_document_fields():
     base = {"num_x": 2, "alphabet_size": 3, "depth": 1, "cost": [0.0] * 6}
     for change, message in (({"num_x": "two"}, "must be integers"),
                             ({"depth": 0}, "must all be >= 1"),
+                            # one symbol matches every depth
+                            ({"alphabet_size": 1, "depth": 65, "cost": [0.0] * 2},
+                             "depth must be at most 64"),
+                            ({"alphabet_size": 1, "depth": 10**400, "cost": [0.0] * 2},
+                             "depth must be at most 64"),
                             ({"mu": [1.0]}, "mu has 1 entries"),
                             ({"beta_grid": [1.0, 0.0]}, "is not a positive real"),
                             ({"beta_grid": [float("inf")]}, "is not a positive real")):

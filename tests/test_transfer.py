@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ergotrans.errors import SpecValidationError
-from ergotrans.plans import gibbs_plan
+from ergotrans.plans import gibbs_plan, nu_cylinder_table
 from ergotrans.symbolic import CostTensor, decode_word
-from ergotrans.transfer import gibbs_chain, log_perron, nu_cylinder_table
+from ergotrans.transfer import gibbs_chain, log_perron
 
 from conftest import (
     REF_H,
@@ -207,7 +207,7 @@ def test_normalization_closure():
 
 
 def test_gibbs_measure_two_state(two_state_cost):
-    measure = gibbs_plan(gibbs_chain(two_state_cost), 2).nu
+    measure = gibbs_plan(gibbs_chain(two_state_cost), 2)
     assert abs(measure.p[0] - 0.3786) <= 2e-4
     assert abs(measure.p[1] - 0.6213) <= 2e-4
     q = dense_q(measure)
@@ -218,7 +218,7 @@ def test_gibbs_measure_two_state(two_state_cost):
 
 def test_gibbs_measure_uniform_cost():
     c = CostTensor(np.full((2, 4), -math.log(4.0)), 2, 2)
-    measure = gibbs_plan(gibbs_chain(c), 2).nu
+    measure = gibbs_plan(gibbs_chain(c), 2)
     assert np.allclose(measure.p, 0.5, atol=1e-12)
 
 
@@ -226,7 +226,7 @@ def test_gibbs_measure_matches_power_iteration_oracle():
     rng = np.random.default_rng(18)
     for _ in range(10):
         c = random_cost(rng, 2, int(rng.integers(2, 4)), 2)
-        measure = gibbs_plan(gibbs_chain(c), 2).nu
+        measure = gibbs_plan(gibbs_chain(c), 2)
         q = dense_q(measure)
         p = np.full(measure.n_blocks, 1.0 / measure.n_blocks)
         for _ in range(20000):
@@ -246,7 +246,7 @@ def test_stationary_vector_on_periodic_chain():
 
 
 def test_nu_cylinder_consistency(two_state_cost):
-    measure = gibbs_plan(gibbs_chain(two_state_cost), 2).nu
+    measure = gibbs_plan(gibbs_chain(two_state_cost), 2)
     table = nu_cylinder_table(measure, 3)
     assert table.sum() == pytest.approx(1.0, abs=1e-12)
     for idx in range(8):
@@ -275,7 +275,7 @@ def test_markov_entropy_rate_matches_dense_sum_exactly():
 
     rng = np.random.default_rng(31)
     measures = [random_markov_measure(rng, d, k) for d, k in ((2, 1), (2, 6), (3, 3), (4, 2))]
-    measures += [gibbs_plan(gibbs_chain(random_cost(rng, 2, 2, 8)), 8).nu]
+    measures += [gibbs_plan(gibbs_chain(random_cost(rng, 2, 2, 8)), 8)]
     measures += [periodic_orbit_measure(w, 3, 2) for w in ([0, 1], [1, 2, 0, 2])]
     for measure in measures:
         assert markov_entropy_rate(measure) == dense(measure)
