@@ -21,7 +21,7 @@ import numpy as np
 from . import dual
 from .errors import CertificateError, ConvergenceError, SpecValidationError
 from .plans import FiniteMemoryPlan, entropy, export_plan, gibbs_plan
-from .symbolic import _numbers, load_problem
+from .symbolic import MAX_DEPTH, _numbers, load_problem
 from .transfer import _layout, effective_cost, gibbs_chain, log_perron
 from .report import SparseRows, render_report
 from .zerotemp import (
@@ -52,9 +52,9 @@ def _check_flags(args):
 def _export_depth(args, cost):
     """The plan export depth, refused before any table of ``d**depth`` rows is built."""
     depth = cost.depth if args.depth is None else args.depth
-    # past the cap's bit length every d >= 2 exceeds it, without forming d**depth
-    if (depth > MAX_EXPORT_ROWS.bit_length()
-            or cost.num_x * cost.alphabet_size**depth > MAX_EXPORT_ROWS):
+    if depth > MAX_DEPTH:
+        raise SpecValidationError(f"a plan export depth must be at most {MAX_DEPTH}")
+    if cost.num_x * cost.alphabet_size**depth > MAX_EXPORT_ROWS:
         raise SpecValidationError(f"a plan export at depth {depth} has more than "
                                   f"{MAX_EXPORT_ROWS} rows of #X * d**depth")
     return depth

@@ -169,7 +169,11 @@ def solve_dual(cost, mu, grad_tol=GRAD_TOL, v0=None,
     too small to move the potential), and brackets the step length on the
     sign of the directional derivative, which is monotone because F is
     convex.  Values of F are never compared: on strongly scaled costs
-    they drown in float noise.  At most ``MAX_ITER`` Newton steps run, and
+    they drown in float noise.  Where the derivative is flat, the bracket
+    is searched from its ends at doubly exponentially shrinking distances
+    (``_scale_free``), so a sign change a few ulps from an end costs a
+    few dozen evaluations rather than one per bit of the bracket's width.
+    At most ``MAX_ITER`` Newton steps run, and
     the certificate requires a pressure residual within
     ``PRESSURE_RESIDUAL_TOL``.  The returned solution carries the
     zero-pressure gauge; ``iterations`` counts Newton steps.
@@ -277,9 +281,21 @@ def _line_search(cost, mu_w, point, step, grad_tol):
     ``t`` doubles while ``s`` stays positive, then a guarded secant, or
     bisection when the secant did not halve the bracket, narrows it.  A
     trial is accepted once ``|s(t)| <= _SLOPE_FRACTION * s(0)`` or its
-    gradient is within ``grad_tol``.  Returns ``(point, None)``, or, when
-    the bracket has collapsed to adjacent floats, its endpoint with the
-    smaller gradient and the pair of endpoints.
+    gradient is within ``grad_tol``.
+
+    The slope is flat when a trial repeats the slope of the bracket end on
+    its side, up to what ``grad_tol`` resolves along ``step``.  A flat
+    slope says nothing about where it changes sign, and on a saturated
+    flank of F the sign change often sits a few ulps from one end of a
+    bracket many orders wider.  The first flat trial hands the trial
+    points to ``_scale_free`` until it has found the distance of the sign
+    change from an end within a factor 2; bisection then goes on, with the
+    secant only after a trial whose slope is not flat.  A probe that
+    rounds onto an end's potential takes that end's side unevaluated.
+
+    Returns ``(point, None)``, or, when the bracket has collapsed to
+    adjacent floats, its endpoint with the smaller gradient and the pair
+    of endpoints.
     """
     v = point.phi[1:]
 
@@ -288,18 +304,23 @@ def _line_search(cost, mu_w, point, step, grad_tol):
 
     s0 = float(point.grad[1:] @ step)
     reach = float(np.abs(step).max())
+    slope_tol = grad_tol * float(np.abs(step).sum())
     lo, s_lo, end_lo = 0.0, s0, point
     hi = s_hi = end_hi = None
     t = min(1.0, _STEP_CAP / reach)
     width = np.inf
+    probes = None
     while True:
         trial = _Evaluation(cost, at(t), mu_w)
         s = float(trial.grad[1:] @ step)
         if trial.residual <= grad_tol or abs(s) <= _SLOPE_FRACTION * s0:
             return trial, None
-        if s > 0.0:
+        on_lo = s > 0.0
+        if on_lo:
+            flat = abs(s - s_lo) <= slope_tol
             lo, s_lo, end_lo = t, s, trial
         else:
+            flat = hi is not None and abs(s - s_hi) <= slope_tol
             hi, s_hi, end_hi = t, s, trial
         if hi is None:
             t *= 2.0
@@ -309,13 +330,72 @@ def _line_search(cost, mu_w, point, step, grad_tol):
                     residual=trial.residual,
                 )
             continue
+        if probes is None and flat:
+            probes, on_lo = _scale_free(lo, hi), None
+        t = None
+        while probes:
+            try:
+                t = probes.send(on_lo)
+            except StopIteration:
+                probes, t = (), None  # spent: bisection from here on
+                break
+            trial_phi = at(t)
+            if np.array_equal(trial_phi, end_lo.phi):
+                lo, on_lo = t, True
+            elif np.array_equal(trial_phi, end_hi.phi):
+                hi, on_lo = t, False
+            else:
+                break
+        if t is not None:
+            continue
         previous, width = width, hi - lo
         t = 0.5 * (lo + hi)
         mid = at(t)
         if np.array_equal(mid, end_lo.phi) or np.array_equal(mid, end_hi.phi):
             pin = (end_lo, end_hi)
             return min(pin, key=lambda end: end.residual), pin
-        if width <= 0.5 * previous:
+        if width <= 0.5 * previous and not flat:
             secant = lo + s_lo * width / (s_lo - s_hi)
             if lo + 0.01 * width < secant < hi - 0.01 * width:
                 t = secant
+
+
+def _scale_free(lo, hi):
+    """Trial points that find a sign change of unknown scale in ``(lo, hi)``.
+
+    A generator: each trial point it yields is answered with ``send(True)``
+    when the sign change lies beyond it seen from ``lo``, else
+    ``send(False)``.  It probes at distances ``w/4, w/16, w/256, ...``
+    (``w = hi - lo``, each the square of the last in units of ``w``) from
+    the ends in turn, dropping an end once a probe shows the sign change
+    is farther from it, and stays with the end a probe shows it is near.
+    Once a probe from that end falls short of the sign change, its
+    distance is known within the factor between two probes, and geometric
+    halving narrows that to 2.  So a sign change at distance ``delta``
+    from the nearer end costs ``O(log log(w/delta))`` probes, and the
+    bisection after it ``log2(delta/ulp)``, where bisection alone takes
+    ``log2(w/ulp)``.  Mid-bracket sign changes return after two probes.
+    """
+    width = hi - lo
+    far = 0.25 * width
+    if not (yield lo + far):
+        anchor, sign = lo, 1.0
+    elif (yield hi - far):
+        anchor, sign = hi, -1.0
+    else:
+        return
+    # the sign change lies within ``far`` of the anchor: probe closer until
+    # a probe falls short of it (a probe on the anchor's side)
+    while True:
+        near = far * far / width
+        if near == 0.0:
+            return
+        if (yield anchor + sign * near) == (sign > 0.0):
+            break
+        far = near
+    while far > 2.0 * near:
+        x = np.sqrt(near) * np.sqrt(far)
+        if (yield anchor + sign * x) == (sign > 0.0):
+            near = x
+        else:
+            far = x

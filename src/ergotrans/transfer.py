@@ -57,6 +57,9 @@ DEFAULT_EIGEN_TOL = 1e-13
 # blocks, the dense one is 3-4x cheaper at 64 and up to 3x dearer at 256; the
 # dense side also needs no scipy import.
 DENSE_SOLVE_MAX = 128
+# The gufuncs behind ``np.linalg.solve``: called directly they give the same
+# bits without the wrapper's type checks, a few microseconds per small solve.
+_DENSE_SOLVE = getattr(np.linalg, "_umath_linalg", None)
 # Power steps stop once their contraction ratio, measured over the last
 # SWITCH_WINDOW steps, projects more than SWITCH_STEPS further steps to
 # certify; a warm-started Newton solve costs about that many power steps.
@@ -69,6 +72,11 @@ SWITCH_STEPS = 40
 MAX_NEWTON = 120
 # Power steps per eigensolve, before Newton and after a failed Newton.
 POWER_STEP_BUDGET = 400
+# Power steps after each Newton step of the last retry.  Two almost tied
+# classes, coupled far below float resolution, leave Newton moving their
+# offset by one unit per step while the transient blocks that feed both
+# classes fall out of balance; power steps settle those blocks in between.
+SETTLE_STEPS = 3
 # The block sums of exp(cbar) must be within this much of 1, relative to the
 # magnitude of cbar and log lambda; the stationary vector of the normalized
 # chain must be stationary to this much.
@@ -184,9 +192,9 @@ def _bordered_solve(weights, rhs, transpose=False):
         flat[::n + 1] = -escape.sum(axis=1)
         mat[:, 0] = -1.0
         try:
-            x = np.linalg.solve(mat.T if transpose else mat, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise _singular(exc, rhs) from exc
+            x = _dense_solve(mat.T if transpose else mat, rhs)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            raise _singular("Singular matrix", rhs) from exc
     else:
         from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
@@ -204,6 +212,20 @@ def _bordered_solve(weights, rhs, transpose=False):
     if not np.isfinite(x).all():
         raise _singular("non-finite solution", rhs)
     return x
+
+
+@np.errstate(all="ignore", invalid="raise")
+def _dense_solve(mat, rhs):
+    """``np.linalg.solve(mat, rhs)`` through its gufunc when numpy has it.
+
+    The gufunc flags a singular matrix as an invalid operation, so under
+    this error state it raises ``FloatingPointError``; the wrapper raises
+    ``LinAlgError``.
+    """
+    gufunc = getattr(_DENSE_SOLVE, "solve1" if rhs.ndim == 1 else "solve", None)
+    if gufunc is None:
+        return np.linalg.solve(mat, rhs)
+    return gufunc(mat, rhs, signature="dd->d")
 
 
 def _singular(reason, rhs):
@@ -233,14 +255,15 @@ def _log_chain(ct, succ, u):
     return mx + np.log(s), w / s[:, None]
 
 
-def _newton(ct, succ, u, target):
+def _newton(ct, succ, u, target, settle=0):
     """Newton on ``G(u, l) = T(u) - u - l`` gauged by ``u(0) = 0``.
 
     Each step solves the bordered system with the chain of the current
     iterate; ``T`` is convex, so after the first step the gain ``l``
-    rises monotonically, as in policy iteration.  Runs one step past the
-    first iterate whose spread is within ``target(log_lam, u)`` and returns
-    the best ``(log_lam, u, spread, steps)`` seen.
+    rises monotonically, as in policy iteration.  ``settle`` power steps
+    follow each Newton step.  Runs one step past the first iterate whose
+    spread is within ``target(log_lam, u)`` and returns the best
+    ``(log_lam, u, spread, steps)`` seen, ``steps`` counting Newton steps.
     """
     u = u - u[0]
     best = None
@@ -266,6 +289,9 @@ def _newton(ct, succ, u, target):
                 break
             raise
         u[0] = 0.0
+        for _ in range(settle):
+            u = _log_transfer_apply(ct, succ, u)
+            u -= u[0]
     if best is None:
         raise ConvergenceError("Newton eigensolve produced non-finite values",
                                iterations=MAX_NEWTON)
@@ -320,7 +346,9 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
 
     If Newton fails from both starts (a singular bordered matrix, or a
     stall on a nearly reducible chain), the rest of the
-    ``POWER_STEP_BUDGET`` power steps run from the best Newton iterate before
+    ``POWER_STEP_BUDGET`` power steps run from the best Newton iterate,
+    and if they fail too, Newton runs once more from each start with
+    ``SETTLE_STEPS`` power steps after each step, before
     ``ConvergenceError`` is raised.  ``iterations`` counts power steps plus
     Newton steps.
     """
@@ -350,33 +378,38 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
         bias = howard_policy_iteration(ct.max(axis=0), succ, u)[1]
         starts = sorted((bias, u), key=lambda start: _spread(ct, succ, start))
     failure, best = None, None
-    for start in starts:
-        if start is None:
-            start = howard_policy_iteration(ct.max(axis=0), succ, u)[1]
-        try:
-            result = _newton(ct, succ, start, target)
-        except ConvergenceError as exc:
-            failure = exc
-            continue
-        log_lam, u_best, spread, steps = result
-        scale = max(1.0, ct_scale, float(np.abs(u_best).max()), abs(log_lam))
-        if spread <= max(tol, 3e-14 * scale):
-            return log_lam, u_best - u_best.min(), spread, it + steps
-        failure = ConvergenceError(
-            f"log-domain eigensolve did not certify (residual spread {spread:.3e})",
-            residual=spread, iterations=it + steps,
-        )
-        if best is None or spread < best[2]:
-            best = result
-    # On a nearly reducible chain Newton can stall with a tiny spread while
-    # weakly coupled blocks sit units away from their values, where its
-    # solves are ill-conditioned; power steps settle those blocks.  The rest
-    # of the power-step budget runs from the best Newton iterate, or from
-    # the power iterate if no Newton solve succeeded.
-    resume = u if best is None else best[1] - best[1].min()
-    done, _, _ = _power_steps(ct, succ, resume, budget[it:], target, False)
-    if done:
-        return done
+    for settle in (0, SETTLE_STEPS):
+        for start in starts:
+            if start is None:
+                start = howard_policy_iteration(ct.max(axis=0), succ, u)[1]
+            try:
+                result = _newton(ct, succ, start, target, settle)
+            except ConvergenceError as exc:
+                failure = exc
+                continue
+            log_lam, u_best, spread, steps = result
+            steps *= 1 + settle
+            scale = max(1.0, ct_scale, float(np.abs(u_best).max()), abs(log_lam))
+            if spread <= max(tol, 3e-14 * scale):
+                return log_lam, u_best - u_best.min(), spread, it + steps
+            failure = ConvergenceError(
+                f"log-domain eigensolve did not certify (residual spread {spread:.3e})",
+                residual=spread, iterations=it + steps,
+            )
+            if best is None or spread < best[2]:
+                best = result
+        if settle:
+            break
+        # On a nearly reducible chain Newton can stall with a tiny spread
+        # while weakly coupled blocks sit units away from their values,
+        # where its solves are ill-conditioned; power steps settle those
+        # blocks.  The rest of the power-step budget runs from the best
+        # Newton iterate, or from the power iterate if no Newton solve
+        # succeeded.
+        resume = u if best is None else best[1] - best[1].min()
+        done, _, _ = _power_steps(ct, succ, resume, budget[it:], target, False)
+        if done:
+            return done
     raise failure
 
 

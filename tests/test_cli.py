@@ -583,6 +583,18 @@ def test_export_depth_cap_refuses_before_allocating(capsys, depth):
     assert peak < 1_000_000
 
 
+def test_one_symbol_export_reaches_the_depth_cap(capsys):
+    # a one-symbol cost exports #X rows at any depth: only MAX_DEPTH bounds it
+    from ergotrans.symbolic import MAX_DEPTH
+
+    spec = spec_path("one_symbol_mu.json")
+    assert main(["gibbs", "--spec", spec, "--depth", str(MAX_DEPTH)]) == 0
+    plan = json.loads(capsys.readouterr().out)["results"]["plan"]
+    assert plan["depth"] == MAX_DEPTH
+    assert main(["gibbs", "--spec", spec, "--depth", str(MAX_DEPTH + 1)]) == 2
+    _assert_one_validation_line(capsys.readouterr().err)
+
+
 def test_entropy_passes_tol_eigen_to_the_eigensolve(monkeypatch, capsys):
     from ergotrans import transfer
 

@@ -503,3 +503,44 @@ def test_pin_off_the_line_minimum_raises_on_three_x_values():
     cost, mu = survey_draw(0, (3, 2, 3))
     with pytest.raises(ConvergenceError, match="off the line minimum"):
         zero_temp_constrained(cost, mu)
+
+
+# --- line search on a flat slope ---------------------------------------------
+
+
+class _StepSlope:
+    """An evaluation whose slice gradient steps from -0.27 to 0.73 past ``edge``."""
+
+    edge = 0.0
+    count = 0
+
+    def __init__(self, cost, phi, mu_w):
+        type(self).count += 1
+        g = -0.27 if phi[1] <= self.edge else 0.73
+        self.phi = phi
+        self.grad = np.array([-g, g])
+        self.residual = abs(g)
+
+
+@pytest.mark.parametrize("where", ["1 ulp", "1e-10", "hi - 1e-12"])
+def test_flat_line_search_pins_a_sign_change_near_an_end(monkeypatch, where):
+    # the line runs from phi(1) = 1 to the capped first trial at 2, and the
+    # slope carries no information on where it changes sign: the search
+    # must find the scale of the sign change's distance to the nearer end
+    start, hi = 1.0, 2.0
+    edge = {"1 ulp": np.nextafter(start, hi),
+            "1e-10": start + 1e-10,
+            "hi - 1e-12": hi - 1e-12}[where]
+    near = min(edge - start, hi - edge)
+    monkeypatch.setattr(_StepSlope, "edge", edge)
+    monkeypatch.setattr(dual, "_Evaluation", _StepSlope)
+    point = _StepSlope(None, np.array([0.0, start]), None)
+    monkeypatch.setattr(_StepSlope, "count", 0)
+    trial, pin = dual._line_search(None, None, point, np.array([-1.0]), 1e-8)
+    assert pin is not None
+    lo_end, hi_end = pin
+    assert lo_end.phi[1] <= edge < hi_end.phi[1]
+    assert hi_end.phi[1] == np.nextafter(lo_end.phi[1], np.inf)
+    assert trial in pin
+    budget = 2 * math.log2(52) + math.log2(near / np.spacing(edge)) + 4
+    assert _StepSlope.count <= budget, (_StepSlope.count, budget)

@@ -181,6 +181,38 @@ def test_singular_dense_solve_raises_convergence_error():
     assert info.value.residual == 1.0
 
 
+@pytest.mark.parametrize("gufuncs", ["present", "missing"])
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 16, 64, 128])
+def test_dense_solve_is_bit_identical_to_numpy_solve(monkeypatch, gufuncs, n):
+    # the gufunc behind np.linalg.solve, called without its wrapper, or the
+    # wrapper itself when numpy has no such gufunc
+    if gufuncs == "missing":
+        monkeypatch.setattr(transfer, "_DENSE_SOLVE", None)
+    rng = np.random.default_rng(3200 + n)
+    for _ in range(10):
+        mat = rng.normal(size=(n, n))
+        for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            for m in (mat, mat.T):
+                assert transfer._dense_solve(m, rhs).tobytes() == np.linalg.solve(m, rhs).tobytes()
+
+
+@pytest.mark.parametrize("gufuncs", ["present", "missing"])
+def test_singular_dense_solve_raises_without_a_warning(monkeypatch, gufuncs):
+    import warnings
+
+    if gufuncs == "missing":
+        monkeypatch.setattr(transfer, "_DENSE_SOLVE", None)
+    identity_chain = np.array([[1.0, 0.0], [0.0, 1.0]])  # two closed classes
+    for rhs in (np.array([-1.0, 0.0]), np.ones((2, 3))):
+        for transpose in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConvergenceError) as info:
+                    transfer._bordered_solve(identity_chain, rhs, transpose=transpose)
+            assert str(info.value) == "bordered chain solve failed: Singular matrix"
+            assert info.value.residual == 1.0
+
+
 def test_log_gth_matches_bordered_solve_and_underflowed_escapes():
     rng = np.random.default_rng(305)
     for d, n in ((2, 2), (2, 16), (3, 27), (4, 64)):
@@ -323,6 +355,29 @@ def test_regression_seed106_single_x_three_symbols():
             assert log_lam == pytest.approx(ref_log_lam, abs=1e-10 * max(1.0, abs(ref_log_lam)))
             scale = max(1.0, float(np.abs(c.values).max()), float(np.abs(u).max()))
             assert eigen_spread(c, u) <= max(1e-13, 3e-14 * scale)
+
+
+def test_nearly_tied_classes_certify_on_the_settled_newton_retry(monkeypatch):
+    # survey draw (2, 3, 3), seed 16, at beta 256, shifted by a dual potential
+    # a few ulps from where the slice gradient changes sign.  The self-loop on
+    # block 0 and the 2-cycle through blocks 1 and 3 tie in cycle mean and
+    # are coupled by about exp(-193): plain Newton moves their offset by one
+    # unit per step, unbalances block 6, which feeds both, and cycles, and
+    # power steps alone do not settle it.
+    from conftest import survey_draw
+    from ergotrans.dual import shift_cost
+
+    cost, _ = survey_draw(16, (2, 3, 3))
+    phi = np.array([0.0, float.fromhex("-0x1.9fb83c0a1b21ap+6")])
+    c = shift_cost(scaled(cost, 256.0), phi)
+    log_lam, u, _, _ = log_perron(c)
+    scale = max(1.0, float(np.abs(c.values).max()), float(np.abs(u).max()))
+    assert eigen_spread(c, u) <= max(1e-13, 3e-14 * scale)
+    ref_log_lam, _ = scaled_dense_log_perron(c)
+    assert log_lam == pytest.approx(ref_log_lam, abs=1e-10 * max(1.0, abs(ref_log_lam)))
+    monkeypatch.setattr(transfer, "SETTLE_STEPS", 0)
+    with pytest.raises(ConvergenceError, match="did not certify"):
+        log_perron(c)
 
 
 def test_survey_d3_families_certify_on_the_whole_grid():

@@ -279,6 +279,37 @@ def test_pinned_draw_reports_its_relaxed_marginal_tolerance():
     assert abs(out.value - primal_lp_oracle(cost, mu).value) <= window
 
 
+# the limits of two survey draws whose dual solves pin at large beta, and the
+# dual evaluations their sweeps take when each flat slope is bisected
+PINNED_SWEEPS = [
+    ((2, 3, 2), 0, 437, 0.7210444302638852, [0.41163053637413743, 1.042513369442673],
+     [0.4705536856269307, 0.0, 0.13904318779085978]),
+    ((2, 2, 2), 3, 487, 1.4278481006793933, [2.040919121385183, -0.2319323776441773],
+     [1.621458566399824, 0.0]),
+]
+
+
+@pytest.mark.parametrize("family,seed,bisected,value,m_tilde,v_tilde", PINNED_SWEEPS,
+                         ids=[f"{f}-s{s}" for f, s, *_ in PINNED_SWEEPS])
+def test_pinned_sweep_keeps_its_limit_in_fewer_evaluations(
+        monkeypatch, family, seed, bisected, value, m_tilde, v_tilde):
+    from ergotrans import dual
+
+    evaluations = []
+
+    class Counted(dual._Evaluation):
+        def __init__(self, *args):
+            evaluations.append(None)
+            super().__init__(*args)
+
+    monkeypatch.setattr(dual, "_Evaluation", Counted)
+    out = zero_temp_constrained(*survey_draw(seed, family))
+    assert abs(out.value - value) <= 1e-12
+    assert np.abs(out.m_tilde - m_tilde).max() <= 1e-12
+    assert np.abs(out.v_tilde - v_tilde).max() <= 1e-12
+    assert len(evaluations) < bisected
+
+
 # --- LP oracle ---------------------------------------------------------------
 
 
