@@ -17,16 +17,17 @@ Everything works in the action layout ``ct[x, b, a] = c(x, a.b)`` with the
 and its dominant eigendata solve ``T(u) = u + log lambda``.  Linear algebra
 runs on the block chain ``P[b, succ(b, a)]`` that ``T`` induces at ``u``:
 a dense solve for small chains, a sparse LU above ``DENSE_SOLVE_MAX``
-blocks.  ``succ`` and every index array that places the chain in either
-matrix depend on ``(d, n)`` alone: one read-only layout is built per
-``(d, n)`` and cached (``_layout``).  One ``gibbs_chain`` call gives a
-cost's right eigendata (``log lambda``, ``log h``), the normalized cost's
-Jacobian and chain, and the chain's stationary vector, its left eigendata;
-that vector and the chain's Poisson equation (``poisson_solve``) are
-solves with the same bordered matrix.  Every chain uses the same action
-layout, ``weights[b, a] = P(b -> succ(b, a))``, stored as ``n x d``; the
-plan that ``plans.gibbs_plan`` builds from a ``gibbs_chain`` result keeps
-it as the y-marginal's ``q``.
+blocks, whose factors Newton keeps from step to step while its steps cut
+the spread fast (``_newton``).  ``succ`` and every index array that
+places the chain in either matrix depend on ``(d, n)`` alone: one
+read-only layout is built per ``(d, n)`` and cached (``_layout``).  One
+``gibbs_chain`` call gives a cost's right eigendata (``log lambda``,
+``log h``), the normalized cost's Jacobian and chain, and the chain's
+stationary vector, its left eigendata; that vector and the chain's Poisson
+equation (``poisson_solve``) are solves with the same bordered matrix.
+Every chain uses the same action layout, ``weights[b, a] = P(b -> succ(b,
+a))``, stored as ``n x d``; the plan that ``plans.gibbs_plan`` builds from
+a ``gibbs_chain`` result keeps it as the y-marginal's ``q``.
 """
 
 from __future__ import annotations
@@ -53,9 +54,12 @@ __all__ = [
 
 DEFAULT_EIGEN_TOL = 1e-13
 # Bordered chain solves up to this many blocks use dense LAPACK; above it a
-# sparse LU.  On a 2-core AMD EPYC the two cost about the same at 128
-# blocks, the dense one is 3-4x cheaper at 64 and up to 3x dearer at 256; the
-# dense side also needs no scipy import.
+# sparse LU.  On a 2-core Intel Xeon a dense solve of a beta-1 chain takes
+# 0.06 ms at 64 blocks and 0.24 ms at 128, a sparse factorization and solve
+# 0.24 and 0.38 ms; at 256 blocks the dense solve takes 1.5 ms, the sparse
+# one 0.7 (d = 2) to 1.6 ms (d = 4), and a solve with kept sparse factors
+# 0.02-0.04 ms at any of these sizes.  The dense side needs no scipy import,
+# and moving the crossover would change the bits of the dense path.
 DENSE_SOLVE_MAX = 128
 # The gufuncs behind ``np.linalg.solve``: called directly they give the same
 # bits without the wrapper's type checks, a few microseconds per small solve.
@@ -65,6 +69,18 @@ _DENSE_SOLVE = getattr(np.linalg, "_umath_linalg", None)
 # certify; a warm-started Newton solve costs about that many power steps.
 SWITCH_WINDOW = 3
 SWITCH_STEPS = 40
+# Above DENSE_SOLVE_MAX blocks the first power steps aim at this spread,
+# not at certification, and hand over to Newton once they reach it.  It is
+# below log 2 <= log(#X*d), so Howard does not run after a handover.  On
+# the 94 sparse eigensolves of one spectral-ladder and one dual-batch pass
+# (seed 5), Newton factored 10 and 140 times at 0.1, 18 and 208 at 1, and
+# 14 and 142 at 0.01, the last 10 % slower on the dual-batch solves.
+HANDOVER_SPREAD = 0.1
+# A sparse Newton step keeps its factors for the next step after a step
+# that cut the spread below this fraction of where it started (20-fold).
+# On the same eigensolves a 100-fold test took 22 and 180 factorizations
+# and 1.3x the time; a 5-fold one took 8 and 110 in about the same time.
+REUSE_RATIO = 0.05
 # Newton on a nearly reducible chain can spend dozens of steps with a
 # settled gain and a non-monotone spread while it moves the offsets between
 # weakly coupled classes by about one unit per step; some strongly scaled
@@ -165,7 +181,7 @@ def reduced_cost(ct, v, m):
     return ct + v[succ][None, :, :] - v[None, :, None] - np.reshape(m, (-1, 1, 1))
 
 
-def _bordered_solve(weights, rhs, transpose=False):
+def _bordered_solve(weights, rhs, transpose=False, lu=None):
     """Solve ``B x = rhs`` (or ``B^T x = rhs``) for the bordered chain matrix.
 
     ``B = P - I`` with column 0 replaced by ``-1``, where the row-stochastic
@@ -176,16 +192,18 @@ def _bordered_solve(weights, rhs, transpose=False):
     ``P[b, b] - 1`` would cancel to 0 on a nearly reducible chain and lose
     the small escape probabilities that decide its stationary vector.  Up
     to ``DENSE_SOLVE_MAX`` blocks LAPACK solves the dense matrix; above it
-    a sparse LU is factored from a CSC matrix.  Both place the values
-    through the index arrays of ``_layout(d, n)``, which depend only on
-    ``(d, n)``; the sparse path builds no ``n x n`` array.  A singular
-    matrix raises ``ConvergenceError`` with the residual of the unsolved
-    system, ``max |rhs|``.
+    ``_sparse_lu`` factors it, or ``lu``, a factorization that
+    ``_sparse_lu`` made of an earlier chain on the same blocks, stands in
+    for ``B``.  Both place the values through the index arrays of
+    ``_layout(d, n)``, which depend only on ``(d, n)``; the sparse path
+    builds no ``n x n`` array.  A singular matrix raises
+    ``ConvergenceError`` with the residual of the unsolved system,
+    ``max |rhs|``.
     """
     n, d = weights.shape
-    layout = _layout(d, n)
-    escape = np.where(layout.off, weights, 0.0)
-    if n <= DENSE_SOLVE_MAX:
+    if lu is None and n <= DENSE_SOLVE_MAX:
+        layout = _layout(d, n)
+        escape = np.where(layout.off, weights, 0.0)
         mat = np.zeros((n, n))
         flat = mat.reshape(-1)
         flat[layout.chain_at] = escape
@@ -196,22 +214,36 @@ def _bordered_solve(weights, rhs, transpose=False):
         except (np.linalg.LinAlgError, FloatingPointError) as exc:
             raise _singular("Singular matrix", rhs) from exc
     else:
-        from scipy.sparse import csc_matrix
-        from scipy.sparse.linalg import splu
-
-        values = np.empty(n * d + n + 1)
-        values[:n * d] = escape.ravel()
-        values[n * d:-1] = -escape.sum(axis=1)
-        values[-1] = -1.0
-        try:
-            lu = splu(csc_matrix((values[layout.source], layout.indices, layout.indptr),
-                                 shape=(n, n)))
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise _singular(exc, rhs) from exc
+        if lu is None:
+            lu = _sparse_lu(weights, rhs)
         x = lu.solve(rhs, trans="T" if transpose else "N")
     if not np.isfinite(x).all():
         raise _singular("non-finite solution", rhs)
     return x
+
+
+def _sparse_lu(weights, rhs):
+    """SuperLU factorization of the bordered matrix of ``_bordered_solve``.
+
+    The values go into the CSC pattern of ``_layout(d, n)``.  A singular
+    matrix raises ``ConvergenceError`` with the residual ``max |rhs|`` of
+    the system it was factored for.
+    """
+    from scipy.sparse import csc_matrix
+    from scipy.sparse.linalg import splu
+
+    n, d = weights.shape
+    layout = _layout(d, n)
+    escape = np.where(layout.off, weights, 0.0)
+    values = np.empty(n * d + n + 1)
+    values[:n * d] = escape.ravel()
+    values[n * d:-1] = -escape.sum(axis=1)
+    values[-1] = -1.0
+    try:
+        return splu(csc_matrix((values[layout.source], layout.indices, layout.indptr),
+                               shape=(n, n)))
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise _singular(exc, rhs) from exc
 
 
 @np.errstate(all="ignore", invalid="raise")
@@ -264,16 +296,32 @@ def _newton(ct, succ, u, target, settle=0):
     follow each Newton step.  Runs one step past the first iterate whose
     spread is within ``target(log_lam, u)`` and returns the best
     ``(log_lam, u, spread, steps)`` seen, ``steps`` counting Newton steps.
+
+    Above ``DENSE_SOLVE_MAX`` blocks and without settling, Newton keeps its
+    sparse factorization (the chord method): after a step that cut the
+    spread by more than ``1 / REUSE_RATIO``, the next step solves with the
+    kept factors, one pair of triangular solves, instead of factoring the
+    new chain.  A kept step that does not cut the spread that much is
+    undone, and Newton factors the chain of the iterate it left from.  So
+    until a kept step is accepted the iterates are those of a fresh
+    factorization per step.  The step past the target is the exception:
+    it is the last, so its iterate counts like any other.
     """
+    keep = not settle and succ.shape[0] > DENSE_SOLVE_MAX
     u = u - u[0]
     best = None
-    extra = False
+    extra = kept = False
+    lu = None
     for step in range(1, MAX_NEWTON + 1):
         lse, weights = _log_chain(ct, succ, u)
         diff = lse - u
         hi, lo = diff.max(), diff.min()
         spread = float(hi - lo)
         log_lam = 0.5 * float(hi + lo)
+        if lu is not None and not spread < REUSE_RATIO * last[3]:
+            if kept and not extra:  # undo the step and factor where it left from
+                u, weights, diff, spread, log_lam = last
+            lu = None
         if not np.isfinite(spread):
             break
         if best is None or spread < best[2]:
@@ -282,12 +330,19 @@ def _newton(ct, succ, u, target, settle=0):
         if extra:
             break
         extra = reached
+        kept = lu is not None
+        rhs = log_lam - diff
         try:
-            u = u + _bordered_solve(weights, log_lam - diff)
+            if keep and not kept:
+                lu = _sparse_lu(weights, rhs)
+            x = _bordered_solve(weights, rhs, lu=lu)
         except ConvergenceError:
             if extra:  # a chain that is reducible in floats can still certify
                 break
             raise
+        if keep:
+            last = (u, weights, diff, spread, log_lam)
+        u = u + x
         u[0] = 0.0
         for _ in range(settle):
             u = _log_transfer_apply(ct, succ, u)
@@ -298,14 +353,15 @@ def _newton(ct, succ, u, target, settle=0):
     return best
 
 
-def _power_steps(ct, succ, u, steps, target, switch):
+def _power_steps(ct, succ, u, steps, target, handover=None):
     """LSE power steps numbered ``steps`` from ``u``.
 
     Returns ``(result, u, it)``: ``result`` is the certified 4-tuple of
     ``log_perron`` or None, ``u`` the last iterate (gauged ``min = 0``) and
-    ``it`` the last step number.  With ``switch`` the steps stop early once
-    the contraction measured over ``SWITCH_WINDOW`` steps projects more than
-    ``SWITCH_STEPS`` further steps to reach ``target``.
+    ``it`` the last step number.  With a ``handover`` spread the steps stop
+    early, uncertified, once the spread is within it or the contraction
+    measured over ``SWITCH_WINDOW`` steps projects more than
+    ``SWITCH_STEPS`` further steps to reach ``max(target, handover)``.
     """
     spreads = []
     it = steps.start - 1
@@ -319,10 +375,15 @@ def _power_steps(ct, succ, u, steps, target, switch):
         goal = target(log_lam, v)
         if spread <= goal:
             return (log_lam, u, spread, it), u, it
+        if handover is None:
+            continue
+        if spread <= handover:
+            break
         spreads.append(spread)
-        if switch and len(spreads) > SWITCH_WINDOW:
+        if len(spreads) > SWITCH_WINDOW:
             ratio = (spread / spreads[-1 - SWITCH_WINDOW]) ** (1.0 / SWITCH_WINDOW)
-            if ratio >= 1.0 or np.log(goal / spread) / np.log(ratio) > SWITCH_STEPS:
+            aim = max(goal, handover)
+            if ratio >= 1.0 or np.log(aim / spread) / np.log(ratio) > SWITCH_STEPS:
                 break
     return None, u, it
 
@@ -337,20 +398,25 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
 
     1. log-sum-exp power steps while their measured contraction projects
        certification within ``SWITCH_STEPS`` further steps (at most
-       ``POWER_STEP_BUDGET``);
+       ``POWER_STEP_BUDGET``); above ``DENSE_SOLVE_MAX`` blocks they aim
+       at the spread ``HANDOVER_SPREAD`` instead and hand over to Newton
+       once they reach it;
     2. float max-plus policy iteration on ``max_x c`` (Howard), whose bias
        warm-starts Newton unless the power iterate is already the better
-       start;
+       start; a power iterate within ``log(#X*d) >= log 2`` is tried first,
+       so Howard does not run after a handover;
     3. Newton on the log eigen-equation, one bordered chain solve per step,
-       retried from the other start if it fails.
+       retried from the other start if it fails.  Above
+       ``DENSE_SOLVE_MAX`` blocks it keeps its sparse factors while they
+       cut the spread by more than ``1 / REUSE_RATIO`` per step.
 
     If Newton fails from both starts (a singular bordered matrix, or a
     stall on a nearly reducible chain), the rest of the
     ``POWER_STEP_BUDGET`` power steps run from the best Newton iterate,
     and if they fail too, Newton runs once more from each start with
-    ``SETTLE_STEPS`` power steps after each step, before
-    ``ConvergenceError`` is raised.  ``iterations`` counts power steps plus
-    Newton steps.
+    ``SETTLE_STEPS`` power steps after each step, and a fresh factorization
+    for each, before ``ConvergenceError`` is raised.  ``iterations`` counts
+    power steps plus Newton steps, undone ones included.
     """
     cost = effective_cost(cost)
     ct = action_view(cost)
@@ -364,7 +430,8 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
         return max(tol, 4e-15 * max(1.0, ct_scale, float(np.abs(u).max()), abs(log_lam)))
 
     budget = range(1, POWER_STEP_BUDGET + 1)
-    done, u, it = _power_steps(ct, succ, np.zeros(n_blocks), budget, target, True)
+    handover = HANDOVER_SPREAD if n_blocks > DENSE_SOLVE_MAX else 0.0
+    done, u, it = _power_steps(ct, succ, np.zeros(n_blocks), budget, target, handover)
     if done:
         return done
 
@@ -407,7 +474,7 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
         # Newton iterate, or from the power iterate if no Newton solve
         # succeeded.
         resume = u if best is None else best[1] - best[1].min()
-        done, _, _ = _power_steps(ct, succ, resume, budget[it:], target, False)
+        done, _, _ = _power_steps(ct, succ, resume, budget[it:], target)
         if done:
             return done
     raise failure

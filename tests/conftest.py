@@ -787,15 +787,29 @@ def _index_spread(ct, succ, u):
     return float(diff.max() - diff.min())
 
 
-def _index_newton(ct, succ, u, target):
+def _index_newton(ct, succ, u, target, reuse=0.0):
+    """``transfer._newton`` without settling; ``reuse`` stands for ``REUSE_RATIO``.
+
+    With ``reuse = 0`` no factorization is kept: one fresh solve per step.
+    Otherwise each factorization is kept, as a SuperLU object of the
+    triplet-built matrix, while steps cut the spread below ``reuse`` times
+    where they started; a kept step that does not is undone.
+    """
+    from scipy.sparse.linalg import splu
+
     u = u - u[0]
     best = None
     extra = False
+    lu = None
     for step in range(1, transfer.MAX_NEWTON + 1):
         lse, weights = index_log_chain(ct, succ, u)
         diff = lse - u
         spread = float(diff.max() - diff.min())
         log_lam = 0.5 * float(diff.max() + diff.min())
+        if lu is not None and not spread < reuse * last[3]:
+            if kept and not extra:
+                u, weights, diff, spread, log_lam = last
+            lu = None
         if not np.isfinite(spread):
             break
         if best is None or spread < best[2]:
@@ -803,12 +817,23 @@ def _index_newton(ct, succ, u, target):
         if extra:
             break
         extra = best[2] <= target(best[0], best[1])
+        kept = lu is not None
+        rhs = log_lam - diff
         try:
-            u = u + index_bordered_solve(weights, succ, log_lam - diff)
+            if kept:
+                x = lu.solve(rhs)
+                if not np.isfinite(x).all():
+                    raise _index_singular("non-finite solution", rhs)
+            else:
+                x = index_bordered_solve(weights, succ, rhs)
+                if reuse:
+                    lu = splu(bordered_triplet_matrix(weights, succ))
         except ConvergenceError:
             if extra:
                 break
             raise
+        last = (u, weights, diff, spread, log_lam)
+        u = u + x
         u[0] = 0.0
     if best is None:
         raise ConvergenceError("Newton eigensolve produced non-finite values",
@@ -816,7 +841,7 @@ def _index_newton(ct, succ, u, target):
     return best
 
 
-def _index_power_steps(ct, succ, u, steps, target, switch):
+def _index_power_steps(ct, succ, u, steps, target, handover=None):
     spreads = []
     it = steps.start - 1
     window = transfer.SWITCH_WINDOW
@@ -829,27 +854,38 @@ def _index_power_steps(ct, succ, u, steps, target, switch):
         goal = target(log_lam, v)
         if spread <= goal:
             return (log_lam, u, spread, it), u, it
+        if handover is None:
+            continue
+        if spread <= handover:
+            break
         spreads.append(spread)
-        if switch and len(spreads) > window:
+        if len(spreads) > window:
             ratio = (spread / spreads[-1 - window]) ** (1.0 / window)
-            if ratio >= 1.0 or np.log(goal / spread) / np.log(ratio) > transfer.SWITCH_STEPS:
+            aim = max(goal, handover)
+            if ratio >= 1.0 or np.log(aim / spread) / np.log(ratio) > transfer.SWITCH_STEPS:
                 break
     return None, u, it
 
 
 def index_log_perron(cost, tol=DEFAULT_EIGEN_TOL):
-    """``transfer.log_perron``'s 4-tuple on the kernels above (same stages)."""
+    """``transfer.log_perron``'s 4-tuple on the kernels above (same stages).
+
+    Above ``DENSE_SOLVE_MAX`` blocks the power steps hand over at
+    ``HANDOVER_SPREAD`` and Newton keeps factorizations at ``REUSE_RATIO``.
+    """
     cost = effective_cost(cost)
     ct = action_view(cost)
     n_blocks = block_count(cost)
     succ = index_successor_table(cost.alphabet_size, n_blocks)
     ct_scale = float(np.abs(ct).max())
+    sparse = n_blocks > transfer.DENSE_SOLVE_MAX
 
     def target(log_lam, u):
         return max(tol, 4e-15 * max(1.0, ct_scale, float(np.abs(u).max()), abs(log_lam)))
 
     budget = range(1, transfer.POWER_STEP_BUDGET + 1)
-    done, u, it = _index_power_steps(ct, succ, np.zeros(n_blocks), budget, target, True)
+    handover = transfer.HANDOVER_SPREAD if sparse else 0.0
+    done, u, it = _index_power_steps(ct, succ, np.zeros(n_blocks), budget, target, handover)
     if done:
         return done
     if _index_spread(ct, succ, u) <= np.log(ct.shape[0] * ct.shape[2]):
@@ -862,7 +898,8 @@ def index_log_perron(cost, tol=DEFAULT_EIGEN_TOL):
         if start is None:
             start = howard_policy_iteration(ct.max(axis=0), succ, u)[1]
         try:
-            result = _index_newton(ct, succ, start, target)
+            result = _index_newton(ct, succ, start, target,
+                                   transfer.REUSE_RATIO if sparse else 0.0)
         except ConvergenceError as exc:
             failure = exc
             continue
@@ -877,7 +914,7 @@ def index_log_perron(cost, tol=DEFAULT_EIGEN_TOL):
         if best is None or spread < best[2]:
             best = result
     resume = u if best is None else best[1] - best[1].min()
-    done, _, _ = _index_power_steps(ct, succ, resume, budget[it:], target, False)
+    done, _, _ = _index_power_steps(ct, succ, resume, budget[it:], target)
     if done:
         return done
     raise failure

@@ -8,6 +8,9 @@ warm start (nearly reducible scaled costs) and chains whose escape
 probabilities fall below machine epsilon or underflow.  The kernels that read
 the cached ``(d, n)`` layout are held bit for bit to the same kernels on
 index arrays built afresh (the ``index_*`` oracles in ``conftest``).
+Sparse eigensolves are held to a factorization budget without Howard at
+beta 1, and with kept factors switched off Newton matches the oracle's one
+fresh solve per step bit for bit.
 """
 
 import math
@@ -122,6 +125,110 @@ def test_sparse_and_dense_solves_agree(monkeypatch):
     assert l1 == pytest.approx(l2, abs=1e-12 * max(1.0, abs(l1)))
     assert np.abs(u1 - u2).max() <= 1e-9 * max(1.0, float(np.abs(u1).max()))
     assert np.abs(p1 - p2).max() <= 1e-12
+
+
+def counted_factorizations(monkeypatch):
+    """The matrices handed to ``scipy.sparse.linalg.splu`` from now on."""
+    import scipy.sparse.linalg
+
+    factored = []
+    splu = scipy.sparse.linalg.splu
+
+    def counting_splu(matrix, *args, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    return factored
+
+
+def newton_target(ct, tol=1e-13):
+    """``log_perron``'s Newton target for the cost ``ct``."""
+    scale = float(np.abs(ct).max())
+    return lambda log_lam, u: max(tol, 4e-15 * max(1.0, scale, float(np.abs(u).max()),
+                                                   abs(log_lam)))
+
+
+def test_newton_without_kept_factors_is_one_fresh_solve_per_step(monkeypatch):
+    # with a reuse ratio no step can beat, every step factors its own chain:
+    # the outcome is that of the oracle's fresh solve per step, bit for bit,
+    # from a zero start and from the Howard bias alike; with kept factors it
+    # is the oracle's chord Newton, and it certifies wherever the fresh one does
+    from conftest import _index_newton, index_successor_table
+
+    factored = counted_factorizations(monkeypatch)
+    rng = np.random.default_rng(3301)
+    saved = []
+    for num_x, d, m, beta in ((2, 2, 9, 1.0), (2, 4, 5, 1.0), (3, 2, 10, 1.0),
+                              (2, 2, 9, 64.0), (2, 4, 5, 16.0)):
+        cost = scaled(random_cost(rng, num_x, d, m), beta)
+        ct, n = action_view(cost), block_count(cost)
+        succ = successor_table(d, n)
+        target = newton_target(ct)
+        bias = howard_policy_iteration(ct.max(axis=0), succ, np.zeros(n))[1]
+        for start in (np.zeros(n), bias):
+            counts, results = [], []
+            for ratio in (0.0, transfer.REUSE_RATIO):
+                monkeypatch.setattr(transfer, "REUSE_RATIO", ratio)
+                factored.clear()
+                results.append(outcome(lambda: transfer._newton(ct, succ, start, target)))
+                counts.append(len(factored))
+            fresh, kept = results
+            oracle = [outcome(lambda: _index_newton(ct, index_successor_table(d, n), start,
+                                                    target, ratio))
+                      for ratio in (0.0, transfer.REUSE_RATIO)]
+            assert_bit_identical(fresh, oracle[0])
+            assert_bit_identical(kept, oracle[1])
+            if fresh[0] == "raised":
+                continue
+            assert kept[0] != "raised", kept
+            for log_lam, u, spread, _ in results:
+                scale = max(1.0, float(np.abs(ct).max()), float(np.abs(u).max()), abs(log_lam))
+                assert spread <= max(1e-13, 3e-14 * scale)
+                assert eigen_spread(cost, u) <= max(1e-13, 3e-14 * scale)
+            assert kept[0] == pytest.approx(fresh[0], abs=1e-12 * max(1.0, abs(fresh[0])))
+            assert counts[1] <= counts[0]
+            saved.append(counts[0] - counts[1])
+    assert len(saved) >= 5 and max(saved) >= 2  # kept factors stand in for fresh ones
+
+
+SPARSE_FACTOR_BUDGET = 3  # one for Newton, one for the stationary solve, one spare
+
+
+def test_sparse_gibbs_chain_factors_few_times_and_skips_howard_at_beta_one(monkeypatch):
+    # the (2,4,6) and (3,2,12) spectral-ladder rungs: power steps reach
+    # Newton's basin, and one factorization serves Newton's steps
+    from conftest import dense_chain
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Howard ran on a beta-1 sparse chain")
+
+    factored = counted_factorizations(monkeypatch)
+    monkeypatch.setattr(transfer, "howard_policy_iteration", forbidden)
+    rng = np.random.default_rng(3302)
+    for family in ((2, 4, 6), (3, 2, 12)):
+        cost = random_cost(rng, *family)
+        factored.clear()
+        chain = gibbs_chain(cost)
+        assert len(factored) <= SPARSE_FACTOR_BUDGET
+        sol = perron_solve(assemble_transfer(cost))
+        assert chain.log_lambda == pytest.approx(math.log(sol.lam), abs=1e-12)
+        assert np.abs(np.exp(chain.log_h) - sol.h).max() <= 1e-10 * sol.h.max()
+        assert np.abs(dense_chain(chain.weights) @ chain.p - chain.p).max() <= 1e-12
+        assert chain.p.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("family, beta", [((2, 2, 9), 64.0), ((2, 2, 9), 4096.0),
+                                          ((2, 4, 5), 256.0), ((2, 2, 11), 16.0)])
+def test_large_beta_sparse_eigensolves_certify(family, beta):
+    rng = np.random.default_rng(3303 + family[2])
+    cost = scaled(random_cost(rng, *family), beta)
+    log_lam, u, spread, _ = log_perron(cost)
+    scale = max(1.0, float(np.abs(cost.values).max()), float(np.abs(u).max()))
+    assert spread <= max(1e-13, 3e-14 * scale)
+    assert eigen_spread(cost, u) <= max(1e-13, 3e-14 * scale)
+    ref_log_lam, _ = scaled_dense_log_perron(cost)
+    assert log_lam == pytest.approx(ref_log_lam, abs=1e-10 * max(1.0, abs(ref_log_lam)))
 
 
 def test_no_dense_eig_lstsq_or_fractions_on_the_solver_path(monkeypatch):
