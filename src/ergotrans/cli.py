@@ -22,7 +22,7 @@ from . import dual
 from .errors import CertificateError, ConvergenceError, SpecValidationError
 from .plans import FiniteMemoryPlan, entropy, export_plan, gibbs_plan
 from .symbolic import MAX_DEPTH, _numbers, load_problem
-from .transfer import _layout, effective_cost, gibbs_chain, log_perron
+from .transfer import _layout, gibbs_chain, log_perron
 from .report import SparseRows, render_report
 from .zerotemp import (
     default_beta_grid,
@@ -73,6 +73,8 @@ def _plan_from_spec(spec):
     if doc is None:
         return None
     d = spec.alphabet_size
+    # the dense (successor, block) q of one block is 1 x 1 and cannot hold
+    # the d symbol weights, so a depth-1 document keeps memory-2 blocks
     memory = max(spec.depth, 2)
     n_blocks = d ** (memory - 1)
     try:
@@ -96,8 +98,7 @@ def _grid(spec, args):
 
 
 def _run_pressure(spec, args):
-    cost = effective_cost(spec.cost)
-    log_lam, _, residual, iterations = log_perron(cost, tol=args.tol_eigen)
+    log_lam, _, residual, iterations = log_perron(spec.cost, tol=args.tol_eigen)
     return {
         "pressure": log_lam,
         "eigen_residual": residual,
@@ -108,20 +109,23 @@ def _run_pressure(spec, args):
 def _transition_rows(plan):
     """The plan's y-chain ``q`` as sparse rows of the dense ``(successor, block)`` matrix.
 
-    Row ``b'`` is reached from the blocks ``b'//d + k*n/d`` by prepending
-    the symbol ``b' % d``.
+    Row ``b'`` is reached by the words ``w = b' + k*n``, ``k < d``, each
+    prepending the symbol ``w % d`` to the block ``w // d``; ``q[b, a]`` is
+    entry ``a + d*b`` of ``q.ravel()``.  With ``n >= d`` the blocks are
+    distinct; the one block of a depth-1 chain is reached by every symbol,
+    so its row holds their sum.
     """
     d, n = plan.alphabet_size, plan.n_blocks
-    succ_rows = np.arange(n)[:, None]
-    cols = succ_rows // d + np.arange(d)[None, :] * (n // d)
-    return SparseRows(n, cols, plan.q[cols, succ_rows % d])
+    words = np.arange(n)[:, None] + n * np.arange(d)[None, :]
+    per_block = d // min(n, d)  # the symbols leading from one block to b'
+    values = plan.q.ravel()[words].reshape(n, -1, per_block).sum(axis=2)
+    return SparseRows(n, words[:, ::per_block] // d, values)
 
 
 def _run_gibbs(spec, args):
-    cost = effective_cost(spec.cost)
-    depth = _export_depth(args, cost)
-    chain = gibbs_chain(cost, tol=args.tol_eigen)
-    plan = gibbs_plan(chain, cost.depth)
+    depth = _export_depth(args, spec.cost)
+    chain = gibbs_chain(spec.cost, tol=args.tol_eigen)
+    plan = gibbs_plan(chain, spec.depth)
     return {
         "pressure": chain.log_lambda,
         "stationary": plan.p,
@@ -134,9 +138,8 @@ def _run_entropy(spec, args):
     plan = _plan_from_spec(spec)
     if plan is not None:
         return {"entropy": entropy(plan), "source": "plan"}
-    cost = effective_cost(spec.cost)
-    chain = gibbs_chain(cost, tol=args.tol_eigen)
-    return {"entropy": entropy(gibbs_plan(chain, cost.depth)), "source": "equilibrium",
+    chain = gibbs_chain(spec.cost, tol=args.tol_eigen)
+    return {"entropy": entropy(gibbs_plan(chain, spec.depth)), "source": "equilibrium",
             "pressure": chain.log_lambda}
 
 

@@ -34,7 +34,6 @@ from .symbolic import CostTensor, Marginal
 from .transfer import (
     _log_transfer_apply,
     action_view,
-    effective_cost,
     gibbs_chain,
     poisson_solve,
     successor_table,
@@ -206,7 +205,6 @@ def solve_dual(cost, mu, grad_tol=GRAD_TOL, v0=None,
     CertificateError
         Residuals above tolerance; the solution is attached.
     """
-    cost = effective_cost(cost)
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
     if mu.size != cost.num_x:

@@ -49,9 +49,9 @@ class FiniteMemoryPlan:
     """Plan of memory ``m``: ``jacobian[x, b, a] = J(x, a | b)`` and its y-marginal ``(q, p)``.
 
     The y-marginal is the shift-invariant block-Markov measure of the
-    ``(m-1)``-block chain: ``q[b, a]`` is the probability of prepending
-    ``a`` to block ``b``, which leads to block ``succ(b, a)``, and ``p`` is
-    its stationary vector.  Deterministic 0/1 rows of ``q`` encode measures
+    ``(m-1)``-block chain, one block at memory 1: ``q[b, a]`` is the
+    probability of prepending ``a`` to block ``b``, which leads to block
+    ``succ(b, a)``, and ``p`` is its stationary vector.  Deterministic 0/1 rows of ``q`` encode measures
     supported on periodic orbits.  Invariants, enforced at 1e-12 on the
     support ``p > 0``:
 
@@ -71,8 +71,8 @@ class FiniteMemoryPlan:
         jac = np.asarray(self.jacobian, dtype=float)
         q = np.asarray(self.q, dtype=float)
         p = np.asarray(self.p, dtype=float)
-        if self.memory < 2:
-            raise SpecValidationError("plan memory must be >= 2 (lift depth-1 problems)")
+        if self.memory < 1:
+            raise SpecValidationError("plan memory must be >= 1")
         block_len = self.memory - 1
         if q.ndim != 2 or q.shape[0] != q.shape[1] ** block_len or p.shape != q.shape[:1]:
             raise SpecValidationError(
@@ -136,7 +136,7 @@ def gibbs_plan(chain, memory):
 
     Its Jacobian is exactly ``exp(cbar)`` and its y-marginal is the
     invariant measure of the normalized block chain; the support is every
-    cylinder.  ``memory`` is the depth of the effective cost.
+    cylinder.  ``memory`` is the depth of the cost.
     """
     return FiniteMemoryPlan(chain.jac, chain.weights, chain.p, memory)
 

@@ -1,9 +1,10 @@
 """Transfer operator on block states, dominant eigendata, pressure, Gibbs measure.
 
 A depth-m cost is handled as an order-1 chain on the alphabet of
-(m-1)-blocks.  For a block ``b`` (the first m-1 symbols of y) and a
-prepended symbol ``a``, the full word is ``a.b`` with canonical index
-``a + d*b`` and its own leading block is ``succ(b, a) = (a + d*b) mod d**(m-1)``.
+(m-1)-blocks, the one empty block at depth 1.  For a block ``b`` (the
+first m-1 symbols of y) and a prepended symbol ``a``, the full word is
+``a.b`` with canonical index ``a + d*b`` and its own leading block is
+``succ(b, a) = (a + d*b) mod d**(m-1)``.
 
 The operator acting on functions of blocks is
 
@@ -39,10 +40,8 @@ import numpy as np
 
 from ._tropical import howard_policy_iteration
 from .errors import ConvergenceError
-from .symbolic import lift_depth
 
 __all__ = [
-    "effective_cost",
     "block_count",
     "action_view",
     "successor_table",
@@ -100,13 +99,8 @@ NORMALIZATION_TOL = 1e-12
 STATIONARY_TOL = 1e-12
 
 
-def effective_cost(cost):
-    """Lift depth-1 costs to depth 2 so every solver sees a block chain."""
-    return lift_depth(cost, 2) if cost.depth == 1 else cost
-
-
 def block_count(cost):
-    """Number of block states d**(m-1) for an effective (depth >= 2) cost."""
+    """Number of block states d**(m-1) of a depth-m cost, one at depth 1."""
     return cost.alphabet_size ** (cost.depth - 1)
 
 
@@ -418,7 +412,6 @@ def log_perron(cost, tol=DEFAULT_EIGEN_TOL):
     for each, before ``ConvergenceError`` is raised.  ``iterations`` counts
     power steps plus Newton steps, undone ones included.
     """
-    cost = effective_cost(cost)
     ct = action_view(cost)
     n_blocks = block_count(cost)
     succ = successor_table(cost.alphabet_size, n_blocks)
@@ -566,7 +559,6 @@ def gibbs_chain(cost, tol=DEFAULT_EIGEN_TOL):
     ``STATIONARY_TOL``; a fallback vector that is not raises
     ``ConvergenceError``.
     """
-    cost = effective_cost(cost)
     n_blocks = block_count(cost)
     log_lam, log_h, _, _ = log_perron(cost, tol=tol)
     ct = reduced_cost(action_view(cost), log_h, log_lam)

@@ -33,7 +33,6 @@ from .symbolic import CostTensor, Marginal, decode_word
 from .transfer import (
     action_view,
     block_count,
-    effective_cost,
     log_perron,
     reduced_cost,
     successor_table,
@@ -107,7 +106,6 @@ def maxplus_solve(cost):
     gauge-fixed by ``max V = 0``.  The residuals are measured on
     ``c(x, a.b)`` for every x, not only on the tropical maximum.
     """
-    cost = effective_cost(cost)
     m_frac, cycle, v = exact_policy_iteration(*_tropical_lift(cost))
     m = float(m_frac)
     expr = reduced_cost(action_view(cost), v, m)
@@ -164,7 +162,6 @@ def beta_sweep(cost, m, betas=None):
     at every beta against ``m``, which must be the exact ``maxplus_solve(cost).m``
     for the bracket to certify the sweep.
     """
-    cost = effective_cost(cost)
     betas = _beta_grid(betas)
     records = []
     for beta in betas:
@@ -188,7 +185,6 @@ def zero_temp_unconstrained(cost, betas=None):
     Every row satisfies ``beta_sweep``'s bracket, and the last one must
     also satisfy ``|log(lambda)/beta - m| <= log(#X * d)/beta``.
     """
-    cost = effective_cost(cost)
     sol = maxplus_solve(cost)
     sweep = beta_sweep(cost, sol.m, betas)
     last = sweep[-1]
@@ -237,7 +233,6 @@ def zero_temp_constrained(cost, mu, betas=None):
     cylinder of mass above ``SUPPORT_MASS_THRESHOLD`` in the certified
     plan of that dual solve.
     """
-    cost = effective_cost(cost)
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
     betas = _beta_grid(betas)

@@ -46,7 +46,7 @@ import ergotrans.transfer as transfer
 from ergotrans._tropical import howard_policy_iteration
 from ergotrans.dual import shift_cost
 from ergotrans.errors import ConvergenceError, SpecValidationError
-from ergotrans.symbolic import CostTensor, Marginal
+from ergotrans.symbolic import CostTensor, Marginal, lift_depth
 from ergotrans.plans import (
     FiniteMemoryPlan,
     entropy,
@@ -62,7 +62,6 @@ from ergotrans.transfer import (
     _push,
     action_view,
     block_count,
-    effective_cost,
     gibbs_chain,
     reduced_cost,
     successor_table,
@@ -87,6 +86,16 @@ def make_two_state_cost():
     vals = np.zeros((2, 4))
     vals[1, 3] = math.log(2.0)
     return CostTensor(vals, 2, 2)
+
+
+def lift_depth_one(cost):
+    """A depth-1 cost lifted to depth 2, a deeper one as it is.
+
+    The package solves a depth-1 cost on its one block.  The dense oracles
+    here place one entry per ``(block, symbol)`` into an ``n x n`` matrix,
+    which needs the ``d`` blocks of depth 2.
+    """
+    return lift_depth(cost, 2) if cost.depth == 1 else cost
 
 
 def random_cost(rng, num_x, d, m, scale=1.0):
@@ -133,7 +142,7 @@ def dense_tropical(cost):
     Built from the words themselves: ``w`` leaves the block ``w // d`` for
     the block ``w % n``, the leading ``m - 1`` symbols of ``w``.
     """
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     n_blocks = cost.alphabet_size ** (cost.depth - 1)
     words = np.arange(cost.values.shape[1])
     mat = np.full((n_blocks, n_blocks), -np.inf)
@@ -326,7 +335,7 @@ class TransferMatrix:
 
 def assemble_transfer(cost):
     """Assemble the block-state transfer matrix of a finite-memory cost."""
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     d = cost.alphabet_size
     n_blocks = block_count(cost)
     weights = np.exp(action_view(cost))
@@ -419,7 +428,7 @@ def perron_solve(transfer, tol=DEFAULT_EIGEN_TOL, max_iter=MAX_POWER_ITER):
 
 def normalize_with_solution(cost, sol):
     """Normalize a cost against linear-domain Perron data from ``perron_solve``."""
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     if sol.residual > 1e-8:
         raise SpecValidationError(
             f"eigendata residual {sol.residual:.3e} too large to normalize against"
@@ -429,7 +438,7 @@ def normalize_with_solution(cost, sol):
 
 def normalized_cost(cost, log_lambda, log_h):
     """``cbar = c + log h(succ) - log h - log lambda`` as a ``CostTensor``."""
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     cbar = reduced_cost(action_view(cost), log_h, log_lambda)
     return CostTensor(cbar.reshape(cost.num_x, -1), cost.alphabet_size, cost.depth)
 
@@ -445,7 +454,7 @@ def normalized_chain(cost, log_lambda=0.0, log_h=None):
     Jacobian and the chain, and the stationary vector is solved as
     ``gibbs_chain`` solves it, with the log-GTH fallback.
     """
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     n_blocks = block_count(cost)
     if log_h is None:
         log_h = np.zeros(n_blocks)
@@ -476,7 +485,7 @@ def normalized_chain(cost, log_lambda=0.0, log_h=None):
 
 def two_step_gibbs_chain(cost, tol=DEFAULT_EIGEN_TOL):
     """``gibbs_chain(cost, tol)`` as two steps: ``log_perron``, then ``normalized_chain``."""
-    log_lam, u, _, _ = transfer.log_perron(effective_cost(cost), tol=tol)
+    log_lam, u, _, _ = transfer.log_perron(lift_depth_one(cost), tol=tol)
     return normalized_chain(cost, log_lam, u)
 
 
@@ -516,7 +525,7 @@ def scaled_dense_log_perron(cost):
     scaled.  Returns ``(log lambda, log h)`` with ``log h`` gauged to
     ``min = 0``.
     """
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     ct = action_view(cost)
     n_blocks = block_count(cost)
     succ = successor_table(cost.alphabet_size, n_blocks)
@@ -579,7 +588,7 @@ def primal_lp_oracle(cost, mu):
     costs are solved exactly by vertex enumeration (desk sizes only);
     deeper costs, beyond enumeration, by HiGHS (``highs_lp_oracle``).
     """
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
     if cost.depth > 2:
@@ -873,7 +882,7 @@ def index_log_perron(cost, tol=DEFAULT_EIGEN_TOL):
     Above ``DENSE_SOLVE_MAX`` blocks the power steps hand over at
     ``HANDOVER_SPREAD`` and Newton keeps factorizations at ``REUSE_RATIO``.
     """
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     ct = action_view(cost)
     n_blocks = block_count(cost)
     succ = index_successor_table(cost.alphabet_size, n_blocks)
@@ -1139,7 +1148,7 @@ def slackness_certificate(cost, phi, mu):
     eigenproblem of ``c - phi`` is solved afresh, apart from the solve
     that produced ``phi``.
     """
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     if not isinstance(mu, Marginal):
         mu = Marginal(mu)
     phi = np.asarray(phi, dtype=float)
@@ -1175,7 +1184,7 @@ def eigencurve_conditions(cost, phi, mu):
     direction ``(mu_1/z_1, mu_2/z_2)``.  Returns both residuals (the
     collinearity one on unit vectors).
     """
-    cost = effective_cost(cost)
+    cost = lift_depth_one(cost)
     if cost.num_x != 2 or cost.depth != 2:
         raise SpecValidationError(
             "curve conditions require #X = 2 and depth <= 2"

@@ -595,6 +595,88 @@ def test_one_symbol_export_reaches_the_depth_cap(capsys):
     _assert_one_validation_line(capsys.readouterr().err)
 
 
+def _depth_one_documents():
+    """``depth_one_mu.json`` and seeded depth-1 costs of every #X in 1-3 and d in 2-4, with mu."""
+    import numpy as np
+
+    with open(spec_path("depth_one_mu.json")) as fh:
+        docs = [json.load(fh)]
+    rng = np.random.default_rng(34)
+    for k, (num_x, d) in enumerate((nx, d) for nx in (1, 2, 3) for d in (2, 3, 4)):
+        cost = (1.0, 4.0)[k % 2] * rng.normal(size=num_x * d)
+        mu = rng.uniform(0.2, 1.0, size=num_x)
+        docs.append({"num_x": num_x, "alphabet_size": d, "depth": 1,
+                     "cost": cost.tolist(), "mu": (mu / mu.sum()).tolist()})
+    return docs
+
+
+def _agree(a, b, tol):
+    """Numbers or lists within ``tol`` of the larger of 1 and their largest magnitude."""
+    import numpy as np
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    scale = max(1.0, float(np.abs(a).max()), float(np.abs(b).max()))
+    return a.shape == b.shape and float(np.abs(a - b).max()) <= tol * scale
+
+
+# the dual solve stops once its slice gradient is below dual.GRAD_TOL, so two
+# solves whose evaluations differ in the last bit can stop that far apart:
+# phi_tilde agrees to about GRAD_TOL (1.3e-11 seen on depth-1 draws), the
+# value, flat at the minimum, to rounding
+PHI_TILDE_TOL = 1e-9
+# the results each verb must reproduce to rounding; unconstrained zerotemp
+# also its sweep
+DEPTH_ONE_KEYS = {"pressure": ("pressure",), "gibbs": ("pressure",),
+                  "entropy": ("entropy", "pressure"), "dual": ("value",),
+                  "certify": ("value", "passed"), "zerotemp": ("value",)}
+
+
+def test_depth_one_matches_its_depth_two_lift(tmp_path, capsys):
+    # a depth-1 cost is solved on its one block; lifted to depth 2 it is the
+    # same problem on d blocks, so every verb gives the same answers and exits
+    from ergotrans.symbolic import CostTensor, lift_depth
+
+    def run(verb, doc, name, *flags):
+        spec = tmp_path / name
+        spec.write_text(json.dumps(doc))
+        code = main([verb, "--spec", str(spec), *flags])
+        out = capsys.readouterr().out
+        return code, json.loads(out)["results"] if code == 0 else None
+
+    for i, one in enumerate(_depth_one_documents()):
+        d = one["alphabet_size"]
+        cost = CostTensor([one["cost"][x * d:(x + 1) * d] for x in range(one["num_x"])], d, 1)
+        two = dict(one, depth=2, cost=lift_depth(cost, 2).values.ravel().tolist())
+        free_one = {k: v for k, v in one.items() if k != "mu"}
+        free_two = {k: v for k, v in two.items() if k != "mu"}
+        cases = [(verb, one, two) for verb in VERBS] + [("zerotemp", free_one, free_two)]
+        for verb, doc_one, doc_two in cases:
+            label = (i, verb, "mu" in doc_one)
+            code, got = run(verb, doc_one, f"one_{i}.json")
+            flags = ("--depth", "1") if verb == "gibbs" else ()
+            code_lift, want = run(verb, doc_two, f"two_{i}.json", *flags)
+            assert code == code_lift, label
+            if code:
+                continue
+            keys = DEPTH_ONE_KEYS[verb]
+            if verb == "gibbs":
+                assert got["stationary"] == [1.0], label
+                assert _agree(got["transition"], [[1.0]], 1e-15), label
+                masses = [report["plan"]["masses"] for report in (got, want)]
+                assert [t[:2] for t in masses[0]] == [t[:2] for t in masses[1]], label
+                assert _agree(*[[t[2] for t in m] for m in masses], 1e-15), label
+            if verb in ("dual", "certify"):
+                assert _agree(got["phi_tilde"], want["phi_tilde"], PHI_TILDE_TOL), label
+            if got.get("mode") == "unconstrained":
+                keys = ("m",)
+                rows = [[[float(t) for t in row.split()] for row in report["sweep"]]
+                        for report in (got, want)]
+                assert [r[0] for r in rows[0]] == [r[0] for r in rows[1]], label
+                assert all(_agree(r[1:], s[1:], 1e-15) for r, s in zip(*rows)), label
+            for key in keys:
+                assert _agree(got[key], want[key], 1e-15), (label, key)
+
+
 def test_entropy_passes_tol_eigen_to_the_eigensolve(monkeypatch, capsys):
     from ergotrans import transfer
 

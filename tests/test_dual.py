@@ -5,13 +5,14 @@ import pytest
 
 from ergotrans.errors import CertificateError, ConvergenceError, SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
-from ergotrans.transfer import effective_cost, gibbs_chain, log_perron
+from ergotrans.transfer import gibbs_chain, log_perron
 from ergotrans.plans import entropy, gibbs_plan, integrate_cost, marginal_x, plan_mass_table
 from ergotrans import dual
 from ergotrans.dual import _Evaluation, shift_cost, solve_dual
 
 from conftest import (
     eigencurve_conditions,
+    lift_depth_one,
     random_cost,
     random_marginal,
     scalar_entropy,
@@ -310,7 +311,7 @@ def test_pressure_residual_encloses_the_pressure():
         num_x = int(rng.integers(1, 5))
         d = int(rng.integers(2, 4))
         m = int(rng.integers(1, 4))
-        c = effective_cost(random_cost(rng, num_x, d, m, scale=float(rng.choice([1.0, 8.0]))))
+        c = lift_depth_one(random_cost(rng, num_x, d, m, scale=float(rng.choice([1.0, 8.0]))))
         mu = random_marginal(rng, num_x)
         sol = solve_dual(c, mu)
         ref, _ = scaled_dense_log_perron(shift_cost(c, -sol.phi_tilde))

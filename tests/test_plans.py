@@ -7,6 +7,7 @@ from ergotrans.errors import SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal, decode_word
 from ergotrans.transfer import gibbs_chain
 from ergotrans.plans import (
+    FiniteMemoryPlan,
     entropy,
     export_plan,
     gibbs_plan,
@@ -98,6 +99,31 @@ def test_gibbs_plan_jacobian_is_exponential_of_cost(two_state_cost):
     cbar = normalized_cost(two_state_cost, chain.log_lambda, chain.log_h)
     view = np.exp(cbar.values).reshape(2, 2, 2)
     assert np.abs(plan.jacobian - view).max() <= 1e-12
+
+
+def test_gibbs_plan_of_a_depth_one_cost_has_one_block():
+    # at depth 1 the Gibbs plan is i.i.d.: J(x, a) = exp(c(x, a)) / Z on the
+    # one empty block, the pressure is log Z and the entropy that of J
+    rng = np.random.default_rng(34)
+    c = random_cost(rng, 3, 4, 1, scale=2.0)
+    chain = gibbs_chain(c)
+    plan = gibbs_plan(chain, 1)
+    weights = np.exp(c.values)
+    law = weights / weights.sum()
+    assert (plan.memory, plan.n_blocks) == (1, 1)
+    assert plan.p.tolist() == [1.0]
+    assert chain.log_lambda == pytest.approx(math.log(weights.sum()), abs=1e-14)
+    assert np.abs(plan_mass_table(plan, 1) - law).max() <= 1e-15
+    pairs = law[:, None, :] * law.sum(axis=0)[:, None]  # pi([x, a.b]) = J(x, a) nu([b])
+    assert np.abs(plan_mass_table(plan, 2) - pairs.reshape(3, -1)).max() <= 1e-15
+    assert entropy(plan) == pytest.approx(scalar_entropy(law.ravel()), abs=1e-14)
+
+
+def test_plan_memory_must_be_at_least_one():
+    plan = gibbs_plan(gibbs_chain(random_cost(np.random.default_rng(35), 2, 3, 1)), 1)
+    assert FiniteMemoryPlan(plan.jacobian, plan.q, plan.p, 1).n_blocks == 1
+    with pytest.raises(SpecValidationError, match="memory must be >= 1"):
+        FiniteMemoryPlan(plan.jacobian, plan.q, plan.p, 0)
 
 
 # --- cylinder masses -------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 import ergotrans.zerotemp as zerotemp
 from ergotrans.errors import SpecValidationError
 from ergotrans.symbolic import CostTensor, Marginal
-from ergotrans.transfer import effective_cost, log_perron
+from ergotrans.transfer import log_perron
 from ergotrans.plans import integrate_cost
 from ergotrans.dual import solve_dual
 from ergotrans.zerotemp import (
@@ -20,6 +20,7 @@ from ergotrans.zerotemp import (
 from conftest import (
     dense_tropical,
     enumerate_cycle_means,
+    lift_depth_one,
     primal_lp_oracle,
     random_cost,
     random_marginal,
@@ -29,7 +30,7 @@ from conftest import (
 
 def package_tropical(cost):
     """The package's own lift, ``zerotemp._tropical_lift``, as a dense ``W[b', b]``."""
-    weights, succ = zerotemp._tropical_lift(effective_cost(cost))
+    weights, succ = zerotemp._tropical_lift(lift_depth_one(cost))
     mat = np.full((weights.shape[0],) * 2, -np.inf)
     mat[succ, np.arange(weights.shape[0])[:, None]] = weights
     return mat
