@@ -3,6 +3,7 @@
 Exit codes: 0 success, 2 validation error, 3 certificate or solver failure
 (one stderr line; a failed ``dual`` or ``certify`` certificate also writes
 its report with the residuals, and ``certify`` its ``passed: false``).
+A non-finite number in a report is a solver failure: no report is written.
 Every number in a report comes from a solve or check the verb runs, and
 each is printed once.  Reports are deterministic; wall time goes to stderr
 so repeated runs stay byte-identical.
@@ -191,9 +192,15 @@ def _run_certify(spec, args):
 
 
 def _sweep_rows(records):
-    """Each record's fields in order, arrays spread, as one space-joined row."""
-    return [" ".join(format(v, ".17g") for v in np.hstack(list(vars(rec).values())).tolist())
-            for rec in records]
+    """Each record's fields in order, arrays spread, as one space-joined row.
+
+    Numbers print as their shortest round-trip ``repr``; a non-finite one
+    is a solver failure.
+    """
+    rows = [np.hstack(list(vars(rec).values())).tolist() for rec in records]
+    if not np.isfinite(rows).all():
+        raise ConvergenceError("a sweep row holds a non-finite number")
+    return [" ".join(map(repr, row)) for row in rows]
 
 
 def _run_zerotemp(spec, args):
@@ -297,7 +304,11 @@ def main(argv=None):
         },
         "results": results,
     }
-    text = render_report(report)
+    try:
+        text = render_report(report)
+    except ValueError as exc:
+        print(f"solver failure: a report number is not finite ({exc})", file=sys.stderr)
+        return 3
     if args.out:
         try:
             with open(args.out, "w", newline="\n") as fh:

@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -486,6 +487,65 @@ def test_unwritable_out_exits_2_with_one_line(tmp_path, capsys):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: cannot write report:")
     assert captured.out == "" and not out.parent.exists()
+
+
+def _poison_results(verb, key, value):
+    """The ``verb`` runner with ``results[key]`` replaced by ``value``."""
+    from ergotrans import cli
+
+    run = cli._RUNNERS[verb]
+
+    def poisoned(spec, args):
+        return {**run(spec, args), key: value}
+
+    return poisoned
+
+
+def _poison_sweep(solve, field, value):
+    """``solve`` with ``field`` of its last sweep record replaced by ``value``."""
+    import dataclasses
+
+    def poisoned(*args):
+        result = solve(*args)
+        name = "sweep" if hasattr(result, "sweep") else "records"
+        records = getattr(result, name)
+        last = dataclasses.replace(records[-1], **{field: value})
+        return dataclasses.replace(result, **{name: records[:-1] + [last]})
+
+    return poisoned
+
+
+NONFINITE_REPORTS = [
+    ("pressure", "two_state.json", "results", ("pressure", "pressure", math.nan)),
+    ("gibbs", "two_state.json", "results", ("gibbs", "stationary", np.array([0.5, math.inf]))),
+    ("dual", "two_state_mu.json", "results", ("dual", "phi_tilde", [0.0, -math.inf])),
+    ("zerotemp", "two_state.json", "sweep",
+     ("zero_temp_unconstrained", "gap_to_limit", math.inf)),
+    ("zerotemp", "two_state_mu.json", "sweep",
+     ("zero_temp_constrained", "phi_over_beta", np.array([0.5, math.nan]))),
+]
+
+
+@pytest.mark.parametrize("verb,spec,where,poison", NONFINITE_REPORTS,
+                         ids=[f"{v}-{s[:-5]}" for v, s, *_ in NONFINITE_REPORTS])
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_nonfinite_number_exits_3_without_a_report(monkeypatch, tmp_path, capsys,
+                                                   verb, spec, where, poison, to_file):
+    from ergotrans import cli
+
+    if where == "results":
+        monkeypatch.setitem(cli._RUNNERS, poison[0], _poison_results(*poison))
+    else:
+        name, field, value = poison
+        monkeypatch.setattr(cli, name, _poison_sweep(getattr(cli, name), field, value))
+    out = tmp_path / "report.json"
+    argv = [verb, "--spec", spec_path(spec), "--beta-max", "8"]
+    assert main(argv + (["--out", str(out)] if to_file else [])) == 3
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure:")
+    assert captured.out == "" and not out.exists()
 
 
 def _two_atom_plan_doc(**changes):

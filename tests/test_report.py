@@ -1,70 +1,26 @@
-"""Report rendering: byte equality with the original recursive renderer."""
+"""Report rendering through the standard ``json`` encoder.
+
+A report is one key per line for dicts and one encoder call per other
+value, so its text is fixed by the values and their key order, and
+``json.loads`` gives the values back with every float bit-equal.
+"Legacy" names the plain nested lists that ``SparseRows`` and
+``CylinderTable`` stand for, as reports handed them over before the two
+records existed; each record must render byte for byte as the encoder
+renders those lists, which ``json.dumps`` gives independently.
+"""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ergotrans.report import render_report
+from ergotrans.report import CylinderTable, SparseRows, render_report
 
 from conftest import legacy_triples
 
-
-def _legacy_scalar(value):
-    if isinstance(value, bool) or isinstance(value, np.bool_):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if v != v:
-            return '"nan"'
-        if v in (float("inf"), float("-inf")):
-            return '"inf"' if v > 0 else '"-inf"'
-        return format(v, ".17g")
-    if isinstance(value, str):
-        return json.dumps(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot render {type(value)!r} in a report")
-
-
-def _legacy(value, indent):
-    """The original renderer: one string per output line, joined per level."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        lines = ["{"]
-        items = list(value.items())
-        for i, (key, val) in enumerate(items):
-            comma = "," if i + 1 < len(items) else ""
-            lines.append(f"{inner}{json.dumps(str(key))}: {_legacy(val, indent + 1)}{comma}")
-        lines.append(pad + "}")
-        return "\n".join(lines)
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in seq) and len(seq) <= 8:
-            return "[" + ", ".join(_legacy_scalar(v) for v in seq) + "]"
-        lines = ["["]
-        for i, val in enumerate(seq):
-            comma = "," if i + 1 < len(seq) else ""
-            lines.append(f"{inner}{_legacy(val, indent + 1)}{comma}")
-        lines.append(pad + "]")
-        return "\n".join(lines)
-    return _legacy_scalar(value)
-
-
-def legacy_render_report(report):
-    return _legacy(report, 0) + "\n"
-
-
-SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-300, -2.5, 1 / 3]
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+SPECIAL = [0.0, -0.0, 1e-300, -2.5, 1 / 3, 5e-324, 1.7976931348623157e308, 0.1]
 
 
 def _random_float_array(rng, shape):
@@ -73,8 +29,7 @@ def _random_float_array(rng, shape):
     arr[mask < 0.3] = 0.0
     arr[(mask >= 0.3) & (mask < 0.4)] = -0.0
     picks = rng.integers(0, len(SPECIAL), size=shape)
-    special = np.array(SPECIAL)[picks]
-    return np.where(mask > 0.9, special, arr)
+    return np.where(mask > 0.9, np.array(SPECIAL)[picks], arr)
 
 
 def _random_tree(rng, depth):
@@ -101,40 +56,99 @@ def _random_tree(rng, depth):
     return {f"k{i}": _random_tree(rng, depth + 1) for i in range(int(rng.integers(0, 5)))}
 
 
-def test_render_matches_legacy_on_random_trees():
+def _assert_same(parsed, value):
+    """``parsed`` is ``value`` read back: key order kept, floats bit-equal, -0.0 signed."""
+    if isinstance(value, dict):
+        assert list(parsed) == list(value)
+        for key, val in value.items():
+            _assert_same(parsed[key], val)
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        value = value.tolist() if isinstance(value, np.ndarray) else value
+        assert isinstance(parsed, list) and len(parsed) == len(value)
+        for got, want in zip(parsed, value):
+            _assert_same(got, want)
+    elif isinstance(value, (float, np.floating)):
+        assert type(parsed) is float and parsed.hex() == float(value).hex()
+    elif isinstance(value, (bool, np.bool_)) or value is None:
+        assert parsed is (None if value is None else bool(value))
+    elif isinstance(value, (int, np.integer)):
+        assert type(parsed) is int and parsed == value
+    else:
+        assert parsed == value
+
+
+def _line_count(value):
+    """Lines of a rendered tree: one per key and one per closing brace of a nonempty dict."""
+    if isinstance(value, dict) and value:
+        return len(value) + 1 + sum(map(_line_count, value.values()))
+    return 0
+
+
+def test_render_round_trips_random_trees():
     rng = np.random.default_rng(2024)
     for _ in range(300):
-        # rows longer than the renderer's 16-item pieces, cut on and off a boundary
-        long_row = int(rng.choice([15, 16, 17, 33, 50]))
-        tree = {"root": _random_tree(rng, 0), "arr": _random_float_array(rng, (9, 9)),
-                "long": [_random_float_array(rng, (2, long_row))]}
-        assert render_report(tree) == legacy_render_report(tree)
+        tree = {"root": _random_tree(rng, 0), "arr": _random_float_array(rng, (9, 9))}
+        text = render_report(tree)
+        assert render_report(tree) == text
+        assert text.endswith("}\n") and text.count("\n") == 1 + _line_count(tree)
+        _assert_same(json.loads(text), tree)
 
 
 def test_render_signed_zero_and_specials():
-    tree = {"v": np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -0.0, 0.0, 2.0]),
-            "inline": np.array([-0.0, 0.0]), "scalar": -0.0, "empty": np.zeros((2, 0))}
+    tree = {"v": np.array([0.0, -0.0, 1.5, -0.0, 0.0, 2.0]),
+            "inline": np.array([-0.0, 0.0]), "scalar": -0.0, "empty": np.zeros((2, 0)),
+            "nested": {}}
     text = render_report(tree)
-    assert text == legacy_render_report(tree)
-    assert '"nan"' in text and '"-inf"' in text and "-0," in text
+    assert text == ('{\n  "v": [0.0, -0.0, 1.5, -0.0, 0.0, 2.0],\n  "inline": [-0.0, 0.0],\n'
+                    '  "scalar": -0.0,\n  "empty": [[], []],\n  "nested": {}\n}\n')
+    _assert_same(json.loads(text), tree)
+    nested = {"a": {"b": {}, "c": [1, {"d": 0.5}]}, "e": None}
+    assert render_report(nested) == ('{\n  "a": {\n    "b": {},\n    "c": [1, {"d": 0.5}]\n'
+                                     '  },\n  "e": null\n}\n')
+    no_cols = SparseRows(0, np.zeros((2, 0), dtype=int), np.zeros((2, 0)))
+    no_rows = SparseRows(3, np.zeros((0, 1), dtype=int), np.zeros((0, 1)))
+    assert render_report({"a": no_cols, "b": no_rows}) == '{\n  "a": [[], []],\n  "b": []\n}\n'
+    table = CylinderTable(np.zeros((2, 1), dtype=int), np.array([[0.5, 0.25]]))
+    rows = SparseRows(3, np.array([[0], [2]]), np.array([0.5, 1.0])[:, None])
+    for bad in NONFINITE:
+        masses = np.array([[0.5, bad]])
+        for value in (bad, np.float64(bad), [0.5, [1.0, bad]], np.array([0.0, bad]),
+                      np.array([[0.0], [bad]]), (bad,), {"deep": {"deeper": bad}},
+                      SparseRows(3, rows.cols, np.array([[0.5], [bad]])),
+                      CylinderTable(table.digits, masses)):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                render_report({"ok": 1.0, "bad": value})
 
 
-def test_render_exact_inline_boundary():
-    for n in (8, 9):
-        tree = {"floats": np.arange(n, dtype=float), "list": list(range(n)),
-                "mixed": [0.5] * (n - 1) + [-0.0]}
-        text = render_report(tree)
-        assert text == legacy_render_report(tree)
-        assert (text.count("\n") == 5) == (n == 8)
+def _legacy_rows(n_cols, cols, values):
+    """The dense rows as lists: the values on the pattern, an int 0 elsewhere."""
+    rows = [[0] * n_cols for _ in cols]
+    for row, row_cols, row_vals in zip(rows, cols.tolist(), values.tolist()):
+        for c, v in zip(row_cols, row_vals):
+            row[c] = v
+    return rows
+
+
+def _assert_rows_render_as_legacy(cols, values, dense):
+    """``SparseRows(cols, values)`` renders as its legacy rows and parses back to ``dense``."""
+    n_cols = dense.shape[1]
+    text = render_report({"rows": SparseRows(n_cols, cols, values)})
+    legacy = json.dumps(_legacy_rows(n_cols, cols, values), allow_nan=False)
+    assert text == '{\n  "rows": ' + legacy + "\n}\n"
+    parsed = np.array(json.loads(text)["rows"], dtype=float).reshape(dense.shape)
+    assert np.array_equal(parsed, dense)
+    assert np.array_equal(np.signbit(parsed), np.signbit(dense))
+
+
+def _row_pair(row):
+    """The row and its reverse as a two-row matrix on the entries that are not +0.0."""
+    pos = np.flatnonzero((row != 0.0) | np.signbit(row))
+    back = row.size - 1 - pos[::-1]
+    return np.stack([pos, back]), np.stack([row[pos], row[::-1][back]]), np.stack([row, row[::-1]])
 
 
 RUN_LENGTHS = (1, 15, 16, 17, 31, 32, 33, 1023, 1024, 1025)
 EDGES = (-0.0, float("nan"), float("inf"), float("-inf"), 0.75)
-
-
-def _nested(row):
-    """A row at several indents: top level, in a dict, in a list of rows."""
-    return {"row": row, "deep": {"more": [row, row[::-1]]}, "stack": np.stack([row, row])}
 
 
 def test_render_zero_runs_match_legacy():
@@ -142,17 +156,23 @@ def test_render_zero_runs_match_legacy():
         zeros = [0.0] * run
         for edge in EDGES:
             rows = (
-                [edge] + zeros + [edge],              # specials bound the run
-                zeros + [edge],                       # run first, special last
-                [edge] + zeros,                       # special first, run last
-                zeros + [edge, -edge] + zeros + [1.0],  # two runs around specials
+                [edge] + zeros + [edge],              # edges bound the run
+                zeros + [edge],                       # run first, edge last
+                [edge] + zeros,                       # edge first, run last
+                zeros + [edge, -edge] + zeros + [1.0],  # two runs around edges
             )
             for row in rows:
-                tree = _nested(np.array(row))
-                assert render_report(tree) == legacy_render_report(tree)
+                cols, values, dense = _row_pair(np.array(row))
+                if math.isfinite(edge):
+                    _assert_rows_render_as_legacy(cols, values, dense)
+                    # every column on the pattern: its zeros print as floats
+                    full = np.arange(dense.shape[1])[None, :]
+                    _assert_rows_render_as_legacy(full, dense[:1], dense[:1])
+                else:
+                    with pytest.raises(ValueError, match="not JSON compliant"):
+                        render_report({"rows": SparseRows(dense.shape[1], cols, values)})
         for row in (np.zeros(run), np.full(run, -0.0)):  # all-zero rows
-            tree = _nested(row)
-            assert render_report(tree) == legacy_render_report(tree)
+            _assert_rows_render_as_legacy(*_row_pair(row))
 
 
 def test_render_sparse_rows_match_legacy():
@@ -163,8 +183,7 @@ def test_render_sparse_rows_match_legacy():
         nnz = int(rng.integers(1, max(2, length // 10)))
         pos = rng.choice(length, size=nnz, replace=False)
         row[pos] = _random_float_array(rng, nnz)
-        tree = _nested(row)
-        assert render_report(tree) == legacy_render_report(tree)
+        _assert_rows_render_as_legacy(*_row_pair(row))
 
 
 def test_action_layout_transition_renders_as_dense_matrix():
@@ -181,11 +200,9 @@ def test_action_layout_transition_renders_as_dense_matrix():
         if m <= 4:  # deterministic rows: zeros on the successor pattern
             measures.append(periodic_orbit_measure([0, d - 1], d, m - 1))
         for measure in measures:
-            dense = {"transition": dense_q(measure)}
-            text = render_report({"transition": _transition_rows(measure)})
-            assert text == render_report(dense)
-            if measure.n_blocks <= 64:
-                assert text == legacy_render_report(dense)
+            rows = _transition_rows(measure)
+            assert rows.n_cols == measure.n_blocks
+            _assert_rows_render_as_legacy(rows.cols, rows.values, dense_q(measure))
 
 
 TABLE_SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
@@ -203,13 +220,11 @@ def _table_masses(rng, num_x, n_words):
     return masses
 
 
-def _at_three_indents(value):
-    return {"masses": value, "deep": {"plan": {"masses": value}}, "listed": [value, 0.5]}
+def _at_two_depths(value):
+    return {"masses": value, "deep": {"plan": {"masses": value}}}
 
 
 def test_cylinder_table_renders_as_legacy_triples():
-    from ergotrans.report import CylinderTable
-
     rng = np.random.default_rng(91)
     case = 0
     for d, max_depth in ((2, 12), (3, 7), (4, 6)):  # up to 4096 words
@@ -217,22 +232,23 @@ def test_cylinder_table_renders_as_legacy_triples():
             num_x = 1 + case % 3
             digits = _word_digits(d, depth)
             masses = _table_masses(rng, num_x, d**depth)
+            if not np.isfinite(masses).all():
+                with pytest.raises(ValueError, match="not JSON compliant"):
+                    render_report({"masses": CylinderTable(digits, masses)})
+                masses = np.where(np.isfinite(masses), masses, 0.5)
             table, legacy = CylinderTable(digits, masses), legacy_triples(digits, masses)
+            text = render_report({"masses": table})
+            assert text == '{\n  "masses": ' + json.dumps(legacy, allow_nan=False) + "\n}\n"
+            _assert_same(json.loads(text)["masses"], legacy)
             if d**depth <= 256:
-                tree, legacy_tree = _at_three_indents(table), _at_three_indents(legacy)
-            else:  # one indent per large table, cycling through the three
-                key = ("masses", "deep", "listed")[case % 3]
-                tree = {key: _at_three_indents(table)[key]}
-                legacy_tree = {key: _at_three_indents(legacy)[key]}
-            assert render_report(tree) == legacy_render_report(legacy_tree), (d, depth)
+                assert render_report(_at_two_depths(table)) == render_report(
+                    _at_two_depths(legacy))
             case += 1
     empty = CylinderTable(np.zeros((0, 3), dtype=int), np.zeros((2, 0)))
-    assert render_report(_at_three_indents(empty)) == legacy_render_report(_at_three_indents([]))
+    assert render_report(_at_two_depths(empty)) == render_report(_at_two_depths([]))
 
 
 def test_cylinder_table_counts_its_triples_and_checks_its_shapes():
-    from ergotrans.report import CylinderTable
-
     rng = np.random.default_rng(92)
     digits = _word_digits(3, 2)
     masses = rng.random((2, 9))
@@ -241,17 +257,6 @@ def test_cylinder_table_counts_its_triples_and_checks_its_shapes():
         CylinderTable(-digits, masses)
     with pytest.raises(ValueError, match="do not match"):
         CylinderTable(digits, masses[:, :8])
-
-
-def test_float_batches_format_as_single_floats():
-    from ergotrans.report import _format_float, _format_floats
-
-    rng = np.random.default_rng(93)
-    bits = rng.integers(0, 2**63, size=5000, dtype=np.uint64) * np.uint64(2)
-    bits[::2] += np.uint64(1)  # both signs
-    values = np.concatenate((bits.view(np.float64), TABLE_SPECIAL))
-    assert _format_floats(values) == [_format_float(v) for v in values.tolist()]
-    assert _format_floats(np.zeros(0)) == []
 
 
 def test_plan_export_renders_as_its_nested_lists():
@@ -270,11 +275,10 @@ def test_plan_export_renders_as_its_nested_lists():
             assert isinstance(out["jacobian"], np.ndarray)
             text = render_report({"plan": out})
             assert text == render_report({"plan": lists})
-            if d**depth <= 512:
-                assert text == legacy_render_report({"plan": lists})
+            _assert_same(json.loads(text)["plan"], lists)
     for shape in ((1, 2, 1), (2, 2, 8), (3, 2, 9), (2, 3, 40), (2, 4, 300)):
-        jacobian = _random_float_array(rng, shape)  # with -0.0, nan, inf, 1e-300
+        jacobian = _random_float_array(rng, shape)  # with -0.0, 1e-300 and 5e-324
         for array in (jacobian, jacobian.transpose(0, 2, 1)):  # export_plan hands a view
             text = render_report({"jacobian": array})
             assert text == render_report({"jacobian": array.tolist()})
-            assert text == legacy_render_report({"jacobian": array})
+            _assert_same(json.loads(text)["jacobian"], array)

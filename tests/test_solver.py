@@ -487,6 +487,42 @@ def test_nearly_tied_classes_certify_on_the_settled_newton_retry(monkeypatch):
         log_perron(c)
 
 
+def test_power_steps_resumed_after_newton_certify_the_eigensolve(monkeypatch):
+    # survey draw (2, 3, 3), seed 8: once in its constrained sweep, at beta 32,
+    # Newton does not certify from either start and the rest of the power-step
+    # budget, resumed from the best Newton iterate, does
+    from conftest import highs_lp_oracle, survey_draw
+
+    from ergotrans.zerotemp import zero_temp_constrained
+
+    resumed = []
+    power_steps = transfer._power_steps
+
+    def spy(ct, succ, u, steps, target, handover=None):
+        out = power_steps(ct, succ, u, steps, target, handover)
+        if handover is None and out[0] is not None:  # only the resume passes no handover
+            resumed.append((ct.copy(), out[0]))
+        return out
+
+    monkeypatch.setattr(transfer, "_power_steps", spy)
+    cost, mu = survey_draw(8, (2, 3, 3))
+    out = zero_temp_constrained(cost, mu)
+    assert len(resumed) == 1
+    ct, (log_lam, u, spread, _) = resumed[0]
+    num_x, n_blocks, d = ct.shape
+    c = CostTensor(ct.reshape(num_x, -1), d, 3)  # the action view of the solved cost
+    # the dual shifts each x-row by a constant, so the row's spread scales by beta
+    assert n_blocks == 9 and np.ptp(ct[0]) / np.ptp(cost.values[0]) == pytest.approx(32.0)
+    scale = max(1.0, float(np.abs(c.values).max()), float(np.abs(u).max()))
+    assert spread == pytest.approx(eigen_spread(c, u), abs=1e-14 * scale)
+    assert eigen_spread(c, u) <= max(1e-13, 3e-14 * scale)
+    ref_log_lam, _ = scaled_dense_log_perron(c)
+    assert log_lam == pytest.approx(ref_log_lam, abs=1e-10 * max(1.0, abs(ref_log_lam)))
+    assert out.feasibility_residual <= 1e-9
+    window = 2.0 * math.log(6.0) / 2**14 + 1e-9
+    assert abs(out.value - highs_lp_oracle(cost, mu).value) <= window
+
+
 def test_survey_d3_families_certify_on_the_whole_grid():
     # the ROADMAP robustness survey draws; its d=3 families used to fail in
     # log_perron ("did not certify") at beta_max as low as 4-8
